@@ -6,10 +6,11 @@ Layers, bottom to top:
   its homogeneous variant, both with unimodular certificates.
 - ``lattices``: affine sublattices of Z^2 in canonical form, spans,
   indices, rotation, intermediate-lattice enumeration.
-- ``polygons``: validated convex lattice polygons, boundary/interior
-  points, Pick verification, lattice width, interior classification.
+- ``polygons``: validated convex lattice polygons, boundary points,
+  interior counts by Pick's theorem, lattice width by Gauss reduction,
+  interior classification; interior point scans kept as oracles.
 - ``severi``: boundary profiles, component descriptors, and the component
-  count with its brute-force oracle.
+  count with its row-walk oracle.
 - ``corpus`` / ``verify`` / ``cli``: enumeration, the cross-check battery,
   and the command-line front end.
 """

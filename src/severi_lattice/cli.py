@@ -39,7 +39,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
         raise DomainError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -48,8 +48,8 @@ def _load_polygon(path: str) -> LatticePolygon:
     if not isinstance(data, dict) or "vertices" not in data:
         raise DomainError(f'{path}: polygon JSON must be {{"vertices": [[x, y], ...]}}')
     vertices = data["vertices"]
-    if not isinstance(vertices, list):
-        raise DomainError(f"{path}: vertices must be a list")
+    if not isinstance(vertices, list) or not all(isinstance(v, list) for v in vertices):
+        raise DomainError(f"{path}: vertices must be a list of [x, y] pairs")
     return LatticePolygon([tuple(v) for v in vertices])
 
 

@@ -59,11 +59,11 @@ class IntMat:
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMat":
         if not rows:
             raise DomainError("matrix needs at least one row")
-        ncols = len(rows[0])
+        ncols = len(rows[0]) if isinstance(rows[0], (list, tuple)) else -1
         flat: list[int] = []
         for r in rows:
-            if len(r) != ncols:
-                raise DomainError("ragged rows")
+            if not isinstance(r, (list, tuple)) or len(r) != ncols:
+                raise DomainError("matrix rows must be lists of equal length")
             flat.extend(r)
         return cls(len(rows), ncols, tuple(flat))
 
@@ -152,6 +152,8 @@ class IntMat:
             rows, cols, entries = data["rows"], data["cols"], data["entries"]
         except (TypeError, KeyError) as exc:
             raise DomainError(f"matrix JSON needs rows/cols/entries: {exc}") from exc
+        if type(rows) is not int or type(cols) is not int:
+            raise DomainError("matrix JSON rows/cols must be integers")
         if not isinstance(entries, list) or len(entries) != rows:
             raise DomainError("matrix JSON entries must be a list of rows")
         m = cls.from_rows(entries)

@@ -161,6 +161,15 @@ class AffineLattice2:
             basis = data["basis"]
         except (TypeError, KeyError) as exc:
             raise DomainError(f"lattice JSON needs basepoint/basis: {exc}") from exc
+        if not (
+            isinstance(bp, (list, tuple))
+            and isinstance(basis, (list, tuple))
+            and len(basis) == 2
+            and all(isinstance(r, (list, tuple)) and len(r) == 2 for r in basis)
+        ):
+            raise DomainError(
+                "lattice JSON needs basepoint [x, y] and basis [[d1, e], [0, d2]]"
+            )
         (d1, e), (z, d2) = basis
         if z != 0:
             raise DomainError("lattice basis must be upper triangular")

@@ -4,6 +4,12 @@ A polygon is given by its boundary vertices in traversal order (either
 orientation); validation normalizes to counterclockwise, collapses
 collinear intermediate points into their edge, and rejects degenerate or
 non-convex input.  All computations are exact integer arithmetic.
+
+Interior counts (``interior_count_in``, Pick's theorem, O(vertices)) and
+the lattice width (Gauss reduction, O(vertices * log width) per step) are
+the production path; the point scans ``interior_points`` and
+``interior_points_in`` (O(area)) and ``brute_force_width`` are oracles for
+tests and the verify battery.
 """
 
 from __future__ import annotations
@@ -190,7 +196,12 @@ class LatticePolygon:
         return True
 
     def interior_points(self) -> tuple[Point, ...]:
-        """All lattice points strictly inside, by exact bounding-box scan."""
+        """All lattice points strictly inside, by exact bounding-box scan.
+
+        Test and verification oracle only: it costs O(area * facets) time
+        and stores every point, so no production path calls it (counts come
+        from ``interior_count_in``).
+        """
         if "interior" not in self._cache:
             vs = self._vertices
             xmin = min(v[0] for v in vs)
@@ -214,8 +225,27 @@ class LatticePolygon:
         return self._cache["interior"]
 
     def interior_points_in(self, lattice: AffineLattice2) -> tuple[Point, ...]:
-        """Interior lattice points that lie in the given affine lattice."""
+        """Interior lattice points that lie in the given affine lattice.
+
+        Test and verification oracle only, built on the ``interior_points``
+        scan; ``interior_count_in`` gives the count in O(vertices).
+        """
         return tuple(p for p in self.interior_points() if lattice.contains(p))
+
+    def interior_count_in(self, lattice: AffineLattice2) -> int:
+        """Number of interior points in ``lattice``, by Pick's theorem in it.
+
+        Every vertex must lie in ``lattice``; then 2A/[Z^2:M] = 2i + b - 2
+        in the frame of M, where b sums each edge's lattice length measured
+        in M.  O(vertices) time, independent of the area.
+        """
+        self._require_vertices_in(lattice)
+        (d1, e), (_, d2) = lattice.basis
+        border = 0
+        for f in self.facets():
+            vx, vy = f.vector
+            border += gcd((d2 * vx - e * vy) // (d1 * d2), vy // d2)
+        return (self.twice_area() // lattice.index_in_z2 - border + 2) // 2
 
     # -- lattice-relative operations --------------------------------------
 
@@ -283,9 +313,13 @@ class LatticePolygon:
         boundary points affinely generating the lattice) is asserted and an
         InvariantViolation is raised if it fails, since an empty interior
         admits no third possibility.
+
+        Production path, with no work that grows with the area: emptiness
+        comes from ``interior_count_in`` (Pick, O(vertices)), the width from
+        the reduction behind ``lattice_width`` (O(vertices * log width)),
+        and only the last case looks at the boundary points.
         """
-        self._require_vertices_in(lattice)
-        if self.interior_points_in(lattice):
+        if self.interior_count_in(lattice):
             return InteriorClassification.NON_EMPTY_INTERIOR
         width, _ = self.lattice_width(lattice.linear_part())
         if width == 1:
@@ -372,13 +406,21 @@ def _validate(points: Sequence[Sequence[int]]) -> tuple[tuple[Point, ...], tuple
 def _width_of_vertices(verts: Sequence[Point]) -> tuple[int, Point]:
     """Exact lattice width of a CCW convex vertex list over Z^2.
 
-    Strategy: an upper bound U is taken over facet normals and coordinate
-    axes; any optimal primitive direction n satisfies |n.u| <= U and
-    |n.w| <= U for the two edge vectors u, w at the first vertex (the
-    polygon contains the triangle they span), and n is determined by
-    (n.u, n.w), so scanning that square finds the true minimum.
+    Production path: generalized Gauss reduction (Kaib & Schnorr, J.
+    Algorithms 1996) of the width norm f(n) = max n.v - min n.v on the dual
+    lattice.  Each step replaces b2 by b2 - mu*b1, with the integer mu that
+    minimizes the convex function mu -> f(b2 - mu*b1) found by binary search
+    on its slope, and swaps the two when b2 became the shorter.  On exit
+    f(b1) and f(b2) are the successive minima.  If f(b1) < f(b2), only +-b1
+    attain the width.  Otherwise every minimizer is x*b1 + y*b2 with
+    |x|, |y| <= 2: a longer one would span, with +-b1 or +-b2, a
+    parallelogram of area above 4 inside the ball of radius f(b1), against
+    Minkowski's theorem.  The lexicographic tie-break therefore runs over
+    those coefficients (when three minimal directions lie on one edge of
+    the ball, b2 + 2*b1 or b2 - 2*b1 can be one of them).  Each evaluation
+    of f costs O(vertices); a step makes O(log width) of them, and the
+    number of steps is logarithmic in the starting lengths.
     """
-    n = len(verts)
 
     def spread(direction: Point) -> int:
         vals = [direction[0] * x + direction[1] * y for (x, y) in verts]
@@ -392,43 +434,42 @@ def _width_of_vertices(verts: Sequence[Point]) -> tuple[int, Point]:
             dx, dy = -dx, -dy
         return (dx, dy)
 
+    def combine(x: int, y: int) -> Point:
+        return (x * b1[0] + y * b2[0], x * b1[1] + y * b2[1])
+
+    b1, b2 = (1, 0), (0, 1)
+    f1, f2 = spread(b1), spread(b2)
+    if f2 < f1:
+        b1, b2, f1, f2 = b2, b1, f2, f1
+    while True:
+        # the minimizer mu satisfies |mu| * f1 - f2 <= f(b2 - mu*b1) <= f2;
+        # take the smallest mu from which the function stops decreasing
+        lo = -(2 * f2 // f1) - 1
+        hi = -lo
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if spread(combine(-mid - 1, 1)) >= spread(combine(-mid, 1)):
+                hi = mid
+            else:
+                lo = mid + 1
+        b2 = combine(-lo, 1)
+        f2 = spread(b2)
+        if f2 >= f1:
+            break
+        b1, b2, f1, f2 = b2, b1, f2, f1
+    if f1 < f2:
+        return (f1, canon(b1))  # +-b1 are the only minimizers
+
     best: Optional[tuple[int, Point]] = None
-
-    def consider(direction: Point) -> None:
-        nonlocal best
-        d = canon(direction)
-        w = spread(d)
-        if best is None or w < best[0] or (w == best[0] and d < best[1]):
-            best = (w, d)
-
-    consider((1, 0))
-    consider((0, 1))
-    for i in range(n):
-        vx = verts[(i + 1) % n][0] - verts[i][0]
-        vy = verts[(i + 1) % n][1] - verts[i][1]
-        consider((-vy, vx))
+    for x in range(0, 3):
+        for y in range(-2, 3):
+            if x == 0 and y <= 0:
+                continue
+            d = canon(combine(x, y))
+            w = spread(d)
+            if best is None or w < best[0] or (w == best[0] and d < best[1]):
+                best = (w, d)
     assert best is not None
-    ubound = best[0]
-
-    u = (verts[1][0] - verts[0][0], verts[1][1] - verts[0][1])
-    w = (verts[-1][0] - verts[0][0], verts[-1][1] - verts[0][1])
-    det = u[0] * w[1] - u[1] * w[0]
-    for s in range(-ubound, ubound + 1):
-        for t in range(-ubound, ubound + 1):
-            if s == 0 and t == 0:
-                continue
-            # solve (n.u, n.w) == (s, t)
-            nx, rx = divmod(s * w[1] - t * u[1], det)
-            if rx:
-                continue
-            ny, ry = divmod(t * u[0] - s * w[0], det)
-            if ry:
-                continue
-            if nx == 0 and ny == 0:
-                continue
-            if gcd(abs(nx), abs(ny)) != 1:
-                continue
-            consider((nx, ny))
     return best
 
 

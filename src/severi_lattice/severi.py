@@ -7,6 +7,16 @@ component descriptor per intermediate lattice.  The number of irreducible
 components equals the number of intermediate affine lattices whose
 interior point count is positive; a literal brute-force path over the
 lattice conditions double-checks the divisor-count formula.
+
+Production path (``enumerate_components``, ``count_components``, the
+classification): interior counts come from Pick's theorem in each lattice,
+O(vertices) per lattice, and the lattice width from Gauss reduction, so no
+work grows with the polygon's area; what remains is O(l) boundary work.
+Oracle path (``count_components_oracle``, which ``analyze`` always runs):
+decides whether a lattice meets the interior by a row walk over the rows
+of the lattice, O(height / d2 * facets), sharing no formula with Pick.  The
+point scans ``interior_points``/``interior_points_in`` serve tests and the
+verify battery only.
 """
 
 from __future__ import annotations
@@ -256,7 +266,7 @@ def enumerate_components(polygon: LatticePolygon) -> list[ComponentDescriptor]:
                 d=d,
                 index_in_z2=profile.idx // d,
                 torsion_order=d,
-                interior_count=len(polygon.interior_points_in(m_lat)),
+                interior_count=polygon.interior_count_in(m_lat),
                 is_empty_locus=empty,
                 excluded_nonbirational=excluded,
                 contributes=not (empty or excluded),
@@ -275,7 +285,7 @@ def count_components(polygon: LatticePolygon) -> int:
     """
     profile = build_profile(polygon)
     n = len(divisors(profile.idx))
-    if not polygon.interior_points_in(profile.m0):
+    if not polygon.interior_count_in(profile.m0):
         n -= 1
     return n
 
@@ -285,7 +295,8 @@ def count_components_oracle(polygon: LatticePolygon) -> int:
 
     Enumerates the intermediate affine lattices through the boundary
     basepoint and keeps those containing every boundary lattice point and
-    at least one interior point.
+    at least one interior point, found by ``_meets_interior``'s row walk
+    (no Pick, no area, no point list).
     """
     boundary = polygon.boundary_points()
     m0 = affine_span(boundary)
@@ -294,9 +305,47 @@ def count_components_oracle(polygon: LatticePolygon) -> int:
         m_lat = linear.translate(m0.basepoint)
         if not all(m_lat.contains(p) for p in boundary):
             continue
-        if polygon.interior_points_in(m_lat):
+        if _meets_interior(polygon, m_lat):
             count += 1
     return count
+
+
+def _meets_interior(polygon: LatticePolygon, lattice: AffineLattice2) -> bool:
+    """Whether some point of ``lattice`` lies strictly inside ``polygon``.
+
+    Walks the rows y = basepoint_y (mod d2) strictly between the lowest and
+    the highest vertex.  On each row the facet half-planes n.p > n.start
+    cut out an integer x-interval, and one modular step decides whether the
+    row's coset x = r (mod d1) meets it.  O(height / d2 * facets) time and
+    O(facets) memory; it uses neither Pick's theorem nor the area.
+    """
+    (d1, e), (_, d2) = lattice.basis
+    bx, by = lattice.basepoint
+    halfplanes = [
+        (f.normal[0], f.normal[1], f.normal[0] * f.start[0] + f.normal[1] * f.start[1])
+        for f in polygon.facets()
+    ]
+    xs = [v[0] for v in polygon.vertices]
+    ys = [v[1] for v in polygon.vertices]
+    xmin, xmax, ymax = min(xs), max(xs), max(ys)
+    y = min(ys) + 1
+    y += (by - y) % d2
+    while y < ymax:
+        lo, hi = xmin, xmax
+        for a, b, h in halfplanes:
+            c = h - b * y  # on this row the half-plane reads a * x > c
+            if a > 0:
+                lo = max(lo, c // a + 1)
+            elif a < 0:
+                hi = min(hi, -(c // -a) - 1)
+            elif c >= 0:
+                break
+        else:
+            r = (bx + (y - by) // d2 * e) % d1
+            if lo + (r - lo) % d1 <= hi:
+                return True
+        y += d2
+    return False
 
 
 def severi_dimension(polygon: LatticePolygon, genus: int) -> int:

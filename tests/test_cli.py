@@ -4,6 +4,8 @@ import pytest
 
 import severi_lattice.severi
 from severi_lattice.cli import main
+from severi_lattice.errors import DomainError
+from severi_lattice.lattices import AffineLattice2
 
 
 def write_json(path, data):
@@ -178,3 +180,61 @@ class TestVerifyCommand:
         assert code == 2
         out = capsys.readouterr().out
         assert "FAILURES DETECTED" in out
+
+
+class TestMalformedInput:
+    """Malformed documents exit 1 with one ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("analyze", {"vertices": [[0, 0], [1, 0], 5]}),
+            ("analyze", {"vertices": [[0, 0], [1, 0], None]}),
+            ("count", {"vertices": [[0, 0], [1, 0], "01"]}),
+            ("components", {"vertices": [[0, 0], [1, 0], {"x": 0, "y": 1}]}),
+            ("snf", {"rows": 1, "cols": 1, "entries": [5]}),
+            ("snf", {"rows": 2, "cols": 1, "entries": [[1], 2]}),
+            ("snf", {"rows": "1", "cols": 1, "entries": [[1]]}),
+            ("hsnf", {"rows": 1, "cols": 2, "entries": [None]}),
+        ],
+    )
+    def test_wrong_shape(self, tmp_path, capsys, command, doc):
+        path = write_json(tmp_path / "bad.json", doc)
+        assert main([command, path]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1
+        assert out.err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [b"\xff\xfe{}", b"[" * 100_000, b'{"vertices": 1' + b"0" * 5000 + b"}"],
+    )
+    def test_undecodable_file(self, tmp_path, capsys, payload):
+        path = tmp_path / "bad.json"
+        path.write_bytes(payload)
+        assert main(["analyze", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1
+        assert out.err.startswith("error:")
+
+
+class TestLatticeJson:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"basepoint": 5, "basis": [[1, 0], [0, 1]]},
+            {"basepoint": [0, 0], "basis": [1, 2]},
+            {"basepoint": [0, 0], "basis": [[1, 0], [0]]},
+            {"basepoint": [0, 0, 1], "basis": [[1, 0], [0, 1]]},
+            {"basepoint": [0, 0], "basis": [[1, 0], [1, 1]]},
+        ],
+    )
+    def test_wrong_shape_is_a_domain_error(self, doc):
+        with pytest.raises(DomainError):
+            AffineLattice2.from_json_dict(doc)
+
+    def test_round_trip(self):
+        lat = AffineLattice2.from_generators((3, 1), [(2, 0), (1, 3)])
+        assert AffineLattice2.from_json_dict(lat.to_json_dict()) == lat
