@@ -12,11 +12,15 @@ Production path (``enumerate_components``, ``count_components``, the
 classification): interior counts come from Pick's theorem in each lattice,
 O(vertices) per lattice, and the lattice width from Gauss reduction, so no
 work grows with the polygon's area; what remains is O(l) boundary work.
+``analyze`` builds the profile once and classifies M0 once, and derives
+both the descriptors and the divisor-formula count from them.
 Oracle path (``count_components_oracle``, which ``analyze`` always runs):
-decides whether a lattice meets the interior by a row walk over the rows
-of the lattice, O(height / d2 * facets), sharing no formula with Pick.  The
-point scans ``interior_points``/``interior_points_in`` serve tests and the
-verify battery only.
+takes the affine span of all boundary points itself, tests each lattice's
+boundary condition in O(facets), and decides whether a lattice meets the
+interior by a row walk over the rows of the lattice, O(height / d2 *
+facets), sharing no formula with Pick.  The point scans
+``interior_points``/``interior_points_in`` serve tests and the verify
+battery only.
 """
 
 from __future__ import annotations
@@ -250,7 +254,25 @@ def enumerate_components(polygon: LatticePolygon) -> list[ComponentDescriptor]:
     in the boundary lattice.  Every other descriptor contributes.
     """
     profile = build_profile(polygon)
-    classification = polygon.classify_interior_empty(profile.m0)
+    return _descriptors(profile, polygon.classify_interior_empty(profile.m0))
+
+
+def count_components(polygon: LatticePolygon) -> int:
+    """Number of irreducible components of the genus-one Severi variety.
+
+    Divisor-count formula: the number of divisors of the normal-lattice
+    index, less one when the boundary lattice sees no interior point (only
+    the minimal lattice can violate the interior condition).
+    """
+    profile = build_profile(polygon)
+    return _formula_count(profile, polygon.classify_interior_empty(profile.m0))
+
+
+def _descriptors(
+    profile: BoundaryProfile, classification: InteriorClassification
+) -> list[ComponentDescriptor]:
+    """``enumerate_components`` from a built profile and M0's classification."""
+    polygon = profile.polygon
     width_one = classification is InteriorClassification.WIDTH_ONE
     twice_primitive = classification is InteriorClassification.TWICE_PRIMITIVE_TRIANGLE
     out: list[ComponentDescriptor] = []
@@ -276,16 +298,12 @@ def enumerate_components(polygon: LatticePolygon) -> list[ComponentDescriptor]:
     return out
 
 
-def count_components(polygon: LatticePolygon) -> int:
-    """Number of irreducible components of the genus-one Severi variety.
-
-    Divisor-count formula: the number of divisors of the normal-lattice
-    index, less one when the boundary lattice sees no interior point (only
-    the minimal lattice can violate the interior condition).
-    """
-    profile = build_profile(polygon)
+def _formula_count(
+    profile: BoundaryProfile, classification: InteriorClassification
+) -> int:
+    """``count_components`` from a built profile and M0's classification."""
     n = len(divisors(profile.idx))
-    if not polygon.interior_count_in(profile.m0):
+    if classification is not InteriorClassification.NON_EMPTY_INTERIOR:
         n -= 1
     return n
 
@@ -294,20 +312,39 @@ def count_components_oracle(polygon: LatticePolygon) -> int:
     """Independent count: test the two lattice conditions literally.
 
     Enumerates the intermediate affine lattices through the boundary
-    basepoint and keeps those containing every boundary lattice point and
-    at least one interior point, found by ``_meets_interior``'s row walk
-    (no Pick, no area, no point list).
+    basepoint and keeps those containing every boundary lattice point
+    (``_holds_boundary``, O(facets) per lattice) and at least one interior
+    point, found by ``_meets_interior``'s row walk (no Pick, no area, no
+    point list).  Its boundary lattice is the literal affine span of all
+    boundary points, not the production profile.
     """
-    boundary = polygon.boundary_points()
-    m0 = affine_span(boundary)
+    m0 = affine_span(polygon.boundary_points())
+    facets = polygon.facets()
     count = 0
     for linear in intermediate_lattices(m0.linear_part()):
         m_lat = linear.translate(m0.basepoint)
-        if not all(m_lat.contains(p) for p in boundary):
+        if not _holds_boundary(m_lat, facets):
             continue
         if _meets_interior(polygon, m_lat):
             count += 1
     return count
+
+
+def _holds_boundary(lattice: AffineLattice2, facets: Sequence[Facet]) -> bool:
+    """Whether ``lattice`` contains every boundary lattice point.
+
+    The lattice points of a facet are start + k * u for k = 0..length, with
+    u = vector // length primitive.  A coset holds them all iff it holds
+    start and start + u, since their difference u then lies in its linear
+    part; each facet's end is the next facet's start.  So two membership
+    tests per facet decide what a test of all l boundary points decides.
+    """
+    for f in facets:
+        (x, y), (vx, vy) = f.start, f.vector
+        step = (x + vx // f.length, y + vy // f.length)
+        if not (lattice.contains(f.start) and lattice.contains(step)):
+            return False
+    return True
 
 
 def _meets_interior(polygon: LatticePolygon, lattice: AffineLattice2) -> bool:
@@ -394,10 +431,16 @@ class SeveriReport:
 
 
 def analyze(polygon: LatticePolygon) -> SeveriReport:
-    """Full report; asserts the formula count against the brute-force oracle."""
+    """Full report; asserts the formula count against the brute-force oracle.
+
+    One pass: the boundary profile is built once and M0 classified once,
+    and the descriptors and the divisor-formula count both derive from
+    them.  The oracle builds its own boundary lattice from the points.
+    """
     profile = build_profile(polygon)
-    components = tuple(enumerate_components(polygon))
-    count = count_components(polygon)
+    classification = polygon.classify_interior_empty(profile.m0)
+    components = tuple(_descriptors(profile, classification))
+    count = _formula_count(profile, classification)
     oracle = count_components_oracle(polygon)
     if count != oracle:
         raise InvariantViolation(
@@ -420,7 +463,7 @@ def analyze(polygon: LatticePolygon) -> SeveriReport:
         n0=profile.n0,
         width_m0=width,
         width_m0_direction=direction,
-        classification_m0=polygon.classify_interior_empty(profile.m0),
+        classification_m0=classification,
         components=components,
         component_count=count,
     )

@@ -5,6 +5,8 @@
 - the Gauss-reduced ``_width_of_vertices`` against the square scan it
   replaced (kept here as an oracle) and against ``brute_force_width``;
 - the oracle's row walk ``_meets_interior`` against the point scan;
+- the oracle's per-facet boundary test ``_holds_boundary`` against a test
+  of every boundary point;
 - that the oracle never uses Pick or the area, and production never scans.
 
 Inputs: every polygon of corpus max-coord 4 plus random polygons with
@@ -14,7 +16,7 @@ Inputs: every polygon of corpus max-coord 4 plus random polygons with
 import random
 from math import gcd
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from severi_lattice.corpus import convex_hull
@@ -25,6 +27,7 @@ from severi_lattice.polygons import (
     brute_force_width,
 )
 from severi_lattice.severi import (
+    _holds_boundary,
     _meets_interior,
     analyze,
     count_components,
@@ -228,6 +231,26 @@ class TestRowWalk:
     def test_random(self, poly, extra):
         for lat in lattices_in_play(poly) + extra:
             assert _meets_interior(poly, lat) == bool(poly.interior_points_in(lat))
+
+
+class TestOracleBoundaryTest:
+    """Two points per facet decide what all l boundary points decide."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(polygons(), st.lists(lattices(), max_size=4), lattices())
+    # 2Z^2 holds every vertex of this triangle but not its edge midpoints
+    @example(
+        LatticePolygon([(0, 0), (2, 0), (0, 2)]),
+        [AffineLattice2.from_generators((0, 0), [(2, 0), (0, 2)])],
+        Z2,
+    )
+    def test_random(self, poly, extra, through_vertex):
+        # lattices in play hold the boundary; random basepoints mostly do
+        # not; lattices through a vertex hold it or fail on an edge
+        shifted = through_vertex.linear_part().translate(poly.vertices[0])
+        for lat in lattices_in_play(poly) + extra + [shifted]:
+            expected = all(lat.contains(p) for p in poly.boundary_points())
+            assert _holds_boundary(lat, poly.facets()) == expected
 
 
 class TestPathIndependence:

@@ -1,19 +1,30 @@
-"""Golden digests: the sha256 of compact ``analyze`` JSON lines is pinned.
+"""Golden digests: the sha256 of what the pipeline prints is pinned.
 
 Any change to the analyze pipeline (closed forms in place of scans,
-refactors of the profile or the width search) must leave every output byte
-as it is; these digests were recorded before such changes were made.
+refactors of the profile or the width search) or to the normal-form
+engine must leave every output byte as it is; these digests were recorded
+before such changes were made.
 """
 
 import hashlib
 import json
 import random
 
+import pytest
+
+from severi_lattice.cli import main
 from severi_lattice.corpus import CorpusSpec, iter_corpus, random_polygon
 from severi_lattice.severi import analyze
 
+# severi analyze, as a library call, over corpus max-coord 3 and 20 random polygons
 CORPUS3_SHA256 = "37e823b26e1d1d2f98abdc05d0199022b3427a1c2bba7a0c0453c1069f2d15ec"
 RANDOM20_SHA256 = "f7f7ee4a28c1b80b83aadbedcabe41d08b330d45d75ad793d6b239b624a09fa4"
+# stdout of severi count / components over corpus max-coord 3, snf / hsnf over
+# the seeded matrix set
+CLI_COUNT_SHA256 = "0870edcd8f27b20160abf10c844f51ca45c4e5cc86a943d6eee9e5fbff71a939"
+CLI_COMPONENTS_SHA256 = "ca46b23c41a02640cfceee3bec7ceb4b6bfbe5a20eafa9ea4f48168cda70383f"
+CLI_SNF_SHA256 = "9e908fabdeab0787650d44071f22edb6b16b853e47f195930d5028f705e8a0c6"
+CLI_HSNF_SHA256 = "22f27fc45a9bc9c8c07ec23d9a913705705c49b86705cfb5b38fe6e1bda4e191"
 
 
 def _digest(polygons) -> tuple[int, str]:
@@ -37,3 +48,69 @@ def test_random_polygons_analyze_digest():
     n, digest = _digest(random_polygon(rng, 100, 12) for _ in range(20))
     assert n == 20
     assert digest == RANDOM20_SHA256
+
+
+def _write_docs(directory, docs) -> list[str]:
+    paths = []
+    for i, doc in enumerate(docs):
+        path = directory / f"{i:05d}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+def _cli_digest(command, paths, capsys) -> str:
+    """sha256 of the stdout of ``severi <command> <file>`` over ``paths``."""
+    capsys.readouterr()
+    for path in paths:
+        assert main([command, path]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.count("\n") == len(paths)
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def corpus3_files(tmp_path_factory):
+    docs = [
+        {"vertices": [list(v) for v in poly.vertices]}
+        for poly in iter_corpus(CorpusSpec(max_coordinate=3))
+    ]
+    return _write_docs(tmp_path_factory.mktemp("corpus3"), docs)
+
+
+def _seeded_matrices(balanced: bool) -> list[dict]:
+    """60 matrices of the normal-form suite's shapes and entries, seeded.
+
+    ``balanced`` appends the column that makes every row sum to zero, as
+    ``hsnf`` requires.
+    """
+    rng = random.Random("golden-normal-forms")
+    docs = []
+    for _ in range(60):
+        r, c = rng.randint(1, 6), rng.randint(1, 8)
+        rows = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+        if balanced:
+            rows = [row + [-sum(row)] for row in rows]
+        docs.append({"rows": r, "cols": len(rows[0]), "entries": rows})
+    return docs
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [("count", CLI_COUNT_SHA256), ("components", CLI_COMPONENTS_SHA256)],
+    ids=["count", "components"],
+)
+def test_cli_corpus3_digest(command, expected, corpus3_files, capsys):
+    assert len(corpus3_files) == 1633
+    assert _cli_digest(command, corpus3_files, capsys) == expected
+
+
+@pytest.mark.parametrize(
+    "command, balanced, expected",
+    [("snf", False, CLI_SNF_SHA256), ("hsnf", True, CLI_HSNF_SHA256)],
+    ids=["snf", "hsnf"],
+)
+def test_cli_normal_form_digest(command, balanced, expected, tmp_path, capsys):
+    paths = _write_docs(tmp_path, _seeded_matrices(balanced))
+    assert _cli_digest(command, paths, capsys) == expected

@@ -1,9 +1,17 @@
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
 
-from severi_lattice.corpus import apply_affine_map, random_polygon, random_unimodular_map
+import severi_lattice.severi
+from severi_lattice.corpus import (
+    CorpusSpec,
+    apply_affine_map,
+    iter_corpus,
+    random_polygon,
+    random_unimodular_map,
+)
 from severi_lattice.errors import DomainError
 from severi_lattice.intmat import IntMat, rank
 from severi_lattice.lattices import Z2, affine_span
@@ -277,3 +285,38 @@ class TestAnalyze:
         assert [c["d"] for c in doc["components"]] == [1, 2]
         assert doc["lattice_width_m0"]["width"] == 1
         assert doc["severi_dimension"] == doc["l"] == 4
+
+
+class TestSinglePass:
+    """``analyze`` builds one profile and one classification per polygon."""
+
+    def test_one_profile_one_classification(
+        self, monkeypatch, triangle_d2, unit_square, diamond2
+    ):
+        calls = Counter()
+        build = severi_lattice.severi.build_profile
+        classify = LatticePolygon.classify_interior_empty
+
+        def counting_build(polygon):
+            calls["build_profile"] += 1
+            return build(polygon)
+
+        def counting_classify(polygon, lattice):
+            calls["classify"] += 1
+            return classify(polygon, lattice)
+
+        monkeypatch.setattr(severi_lattice.severi, "build_profile", counting_build)
+        monkeypatch.setattr(
+            LatticePolygon, "classify_interior_empty", counting_classify
+        )
+        # M0 twice a primitive triangle, of width one, with interior points
+        for poly in (triangle_d2, unit_square, diamond2):
+            calls.clear()
+            analyze(LatticePolygon(poly.vertices))
+            assert calls == {"build_profile": 1, "classify": 1}
+
+    def test_public_helpers_agree_with_analyze(self):
+        for poly in iter_corpus(CorpusSpec(max_coordinate=3)):
+            report = analyze(poly)
+            assert enumerate_components(poly) == list(report.components)
+            assert count_components(poly) == report.component_count
