@@ -145,25 +145,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_pretty(p):
-        group = p.add_mutually_exclusive_group()
-        group.add_argument(
-            "--json",
-            action="store_false",
-            dest="pretty",
-            default=False,
-            help="compact JSON output (default)",
-        )
-        group.add_argument(
-            "--pretty", action="store_true", dest="pretty", help="indented JSON"
-        )
+        p.add_argument("--pretty", action="store_true", help="indented JSON")
 
     p = sub.add_parser("analyze", help="full component report for a polygon")
     p.add_argument("file", help="polygon JSON file")
-    p.add_argument(
-        "--oracle",
-        action="store_true",
-        help="dual-path count check (always on for analyze)",
-    )
     add_pretty(p)
     p.set_defaults(func=_cmd_analyze)
 

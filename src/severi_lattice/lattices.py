@@ -10,6 +10,16 @@ basis matrix ``[[d1, e], [0, d2]]`` with ``d1 > 0``, ``d2 > 0`` and
 ``0 <= e < d1`` (generators are the columns ``(d1, 0)`` and ``(e, d2)``);
 the basepoint is the unique coset representative with ``0 <= y < d2`` and
 ``0 <= x < d1`` after subtracting the ``y`` reduction step.
+
+Every operation works in closed form on the canonical triangle
+``(d1, e, d2)``, O(1) per lattice: a translation reduces the new
+basepoint, a quarter turn and each lattice between ``l0`` and Z^2
+(``l0 + (idx/d) Z^2``) are one ``_canonical_basis`` reduction of a few
+generators, an index is a quotient of determinants, and ``Z^2 / l0`` is
+cyclic iff ``gcd(d1, e, d2) == 1``.  Input is validated where it enters
+(``from_generators``, ``from_json_dict``, ``contains``, ``translate``,
+``affine_span``); values this module computes are canonical by
+construction and skip both that check and the constructor's.
 """
 
 from __future__ import annotations
@@ -19,7 +29,6 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .intmat import IntMat, snf
 
 __all__ = [
     "AffineLattice2",
@@ -74,6 +83,21 @@ def _canonical_basis(gens: Iterable[Point]) -> tuple[int, int, int]:
     return (d1, wx % d1, wy)
 
 
+def _canonical(point: Point, d1: int, e: int, d2: int) -> "AffineLattice2":
+    """Trusted constructor for values this module computed itself.
+
+    ``(d1, e, d2)`` must already be a canonical triangle and ``point`` an
+    integer pair; neither is checked.  The basepoint is ``point`` reduced
+    modulo the basis.
+    """
+    x, y = point
+    k = y // d2
+    lat = object.__new__(AffineLattice2)
+    object.__setattr__(lat, "basepoint", ((x - k * e) % d1, y - k * d2))
+    object.__setattr__(lat, "basis", ((d1, e), (0, d2)))
+    return lat
+
+
 @dataclass(frozen=True)
 class AffineLattice2:
     """Affine sublattice of Z^2 in canonical triangular form."""
@@ -99,10 +123,7 @@ class AffineLattice2:
     ) -> "AffineLattice2":
         """Lattice ``basepoint + span(gens)``, canonicalized."""
         d1, e, d2 = _canonical_basis(_check_point(g) for g in gens)
-        bx, by = _check_point(basepoint)
-        k = by // d2
-        bx, by = bx - k * e, by - k * d2
-        return cls((bx % d1, by), ((d1, e), (0, d2)))
+        return _canonical(_check_point(basepoint), d1, e, d2)
 
     @classmethod
     def linear_from_generators(cls, gens: Iterable[Sequence[int]]) -> "AffineLattice2":
@@ -133,20 +154,26 @@ class AffineLattice2:
         return ((self.d1, 0), (self.e, self.d2))
 
     def linear_part(self) -> "AffineLattice2":
-        return AffineLattice2((0, 0), self.basis)
+        (d1, e), (_, d2) = self.basis
+        return _canonical((0, 0), d1, e, d2)
 
     def contains(self, point: Sequence[int]) -> bool:
         """Membership test by solving the triangular system over Z."""
-        x, y = _check_point(point)
-        dy = y - self.basepoint[1]
-        if dy % self.d2:
+        return self._has(_check_point(point))
+
+    def _has(self, point: Point) -> bool:
+        """``contains`` for an integer pair the library made itself
+        (a vertex, a facet start, a generator): no type check."""
+        (d1, e), (_, d2) = self.basis
+        dy = point[1] - self.basepoint[1]
+        if dy % d2:
             return False
-        dx = x - self.basepoint[0] - (dy // self.d2) * self.e
-        return dx % self.d1 == 0
+        return (point[0] - self.basepoint[0] - dy // d2 * e) % d1 == 0
 
     def translate(self, basepoint: Sequence[int]) -> "AffineLattice2":
         """Same linear part, coset through ``basepoint``."""
-        return AffineLattice2.from_generators(basepoint, self.generators())
+        (d1, e), (_, d2) = self.basis
+        return _canonical(_check_point(basepoint), d1, e, d2)
 
     def to_json_dict(self) -> dict:
         return {
@@ -192,9 +219,9 @@ def affine_span(points: Sequence[Sequence[int]]) -> AffineLattice2:
     if not points:
         raise DomainError("affine span of an empty point set")
     pts = [_check_point(p) for p in points]
-    p0 = pts[0]
-    gens = [(p[0] - p0[0], p[1] - p0[1]) for p in pts[1:]]
-    return AffineLattice2.from_generators(p0, gens)
+    x0, y0 = pts[0]
+    d1, e, d2 = _canonical_basis((x - x0, y - y0) for x, y in pts[1:])
+    return _canonical(pts[0], d1, e, d2)
 
 
 def _require_linear(lat: AffineLattice2, what: str) -> None:
@@ -207,7 +234,7 @@ def lattice_index(sub: AffineLattice2, sup: AffineLattice2) -> int:
     _require_linear(sub, "lattice_index")
     _require_linear(sup, "lattice_index")
     for g in sub.generators():
-        if not sup.contains(g):
+        if not sup._has(g):
             raise DomainError(f"{sub} is not contained in {sup}")
     quot, rem = divmod(sub.index_in_z2, sup.index_in_z2)
     if rem:
@@ -218,10 +245,8 @@ def lattice_index(sub: AffineLattice2, sup: AffineLattice2) -> int:
 def rotate90(lat: AffineLattice2) -> AffineLattice2:
     """Image of a linear lattice under the quarter turn (x, y) -> (-y, x)."""
     _require_linear(lat, "rotate90")
-    (g1, g2) = lat.generators()
-    return AffineLattice2.linear_from_generators(
-        [(-g1[1], g1[0]), (-g2[1], g2[0])]
-    )
+    (d1, e), (_, d2) = lat.basis
+    return _canonical((0, 0), *_canonical_basis([(0, d1), (-d2, e)]))
 
 
 def divisors(n: int) -> list[int]:
@@ -242,30 +267,24 @@ def divisors(n: int) -> list[int]:
 def intermediate_lattices(l0: AffineLattice2) -> list[AffineLattice2]:
     """All linear lattices N with ``l0 <= N <= Z^2``, sorted by ``[N : l0]``.
 
-    Requires ``Z^2 / l0`` to be cyclic (first invariant factor 1); then the
-    index ``[N : l0]`` is a bijection onto the positive divisors of
-    ``[Z^2 : l0]``.  The inclusion is diagonalized by the SNF of the basis:
-    in the coordinates where ``l0 = span(e1, idx*e2)``, the lattice of index
-    ``d`` over ``l0`` is ``span(e1, (idx/d)*e2)``.
+    Requires ``Z^2 / l0`` to be cyclic; its invariant factors are
+    ``gcd(d1, e, d2)`` and ``idx`` over that, so the test is that the gcd
+    is 1.  A cyclic group of order ``idx`` has one subgroup of each order
+    ``d | idx``, namely ``(idx/d)`` times the group, so the lattice of
+    index ``d`` over ``l0`` is ``N_d = l0 + (idx/d) Z^2``.
     """
     _require_linear(l0, "intermediate_lattices")
-    basis = IntMat.from_rows([list(r) for r in l0.basis])
-    res = snf(basis)
-    a1, a2 = res.diagonal()
+    (d1, e), (_, d2) = l0.basis
+    a1 = gcd(gcd(d1, e), d2)
+    idx = d1 * d2
     if a1 != 1:
         raise DomainError(
-            f"Z^2 quotient is not cyclic (invariant factors {a1}, {a2})"
+            f"Z^2 quotient is not cyclic (invariant factors {a1}, {idx // a1})"
         )
-    idx = l0.index_in_z2
-    q = res.Q
-    # Q is unimodular 2x2: invert by adjugate / det
-    dq = q.det()
-    qa, qb, qc, qd = q.entries
-    qinv = ((qd // dq, -qb // dq), (-qc // dq, qa // dq))
     out = []
     for d in divisors(idx):
         m = idx // d
-        g1 = (qinv[0][0], qinv[1][0])
-        g2 = (m * qinv[0][1], m * qinv[1][1])
-        out.append(AffineLattice2.linear_from_generators([g1, g2]))
+        out.append(
+            _canonical((0, 0), *_canonical_basis([(d1, 0), (e, d2), (m, 0), (0, m)]))
+        )
     return out

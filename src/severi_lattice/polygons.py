@@ -89,6 +89,14 @@ class AffineNormalization:
         }
 
 
+def _chart(lattice: AffineLattice2, offset: Point) -> AffineNormalization:
+    """The chart onto the basis frame of ``lattice``, with origin ``offset``."""
+    (d1, e), (_, d2) = lattice.basis
+    return AffineNormalization(
+        adj=((d2, -e), (0, d1)), divisor=d1 * d2, offset=offset
+    )
+
+
 def _cross(o: Point, a: Point, b: Point) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
@@ -251,7 +259,7 @@ class LatticePolygon:
 
     def _require_vertices_in(self, lattice: AffineLattice2) -> None:
         for v in self._vertices:
-            if not lattice.contains(v):
+            if not lattice._has(v):
                 raise DomainError(f"vertex {v} is not in the lattice {lattice}")
 
     def normalize_to_lattice(
@@ -264,10 +272,7 @@ class LatticePolygon:
         Orientation is preserved because the basis has positive determinant.
         """
         self._require_vertices_in(lattice)
-        (d1, e), (_, d2) = lattice.basis
-        chart = AffineNormalization(
-            adj=((d2, -e), (0, d1)), divisor=d1 * d2, offset=lattice.basepoint
-        )
+        chart = _chart(lattice, lattice.basepoint)
         return LatticePolygon([chart.apply(v) for v in self._vertices]), chart
 
     def verify_pick(self, lattice: AffineLattice2) -> bool:
@@ -292,15 +297,17 @@ class LatticePolygon:
         Returns ``(width, direction)``; the direction is a primitive dual
         vector in the normalized frame of ``lattice``, sign-normalized to
         have its first nonzero coordinate positive, ties broken by picking
-        the lexicographically smallest minimizer.
+        the lexicographically smallest minimizer.  A width that
+        ``classify_interior_empty`` reduced for this lattice is read from the
+        polygon's cache, so ``analyze`` reduces M0's width once.
         """
         if not lattice.is_linear:
             raise DomainError("lattice_width expects a linear lattice")
-        v0 = self._vertices[0]
-        (d1, e), (_, d2) = lattice.basis
-        chart = AffineNormalization(adj=((d2, -e), (0, d1)), divisor=d1 * d2, offset=v0)
-        verts = [chart.apply(v) for v in self._vertices]
-        return _width_of_vertices(verts)
+        cached = self._cache.get(("width", lattice))
+        if cached is not None:
+            return cached
+        chart = _chart(lattice, self._vertices[0])
+        return _width_of_vertices([chart.apply(v) for v in self._vertices])
 
     def classify_interior_empty(
         self, lattice: AffineLattice2
@@ -321,8 +328,12 @@ class LatticePolygon:
         """
         if self.interior_count_in(lattice):
             return InteriorClassification.NON_EMPTY_INTERIOR
-        width, _ = self.lattice_width(lattice.linear_part())
-        if width == 1:
+        linear = lattice.linear_part()
+        reduced = self.lattice_width(linear)
+        # analyze reports this width next; only this rare path stores a
+        # width, so polygons that stay alive (as in verify) stay small
+        self._cache[("width", linear)] = reduced
+        if reduced[0] == 1:
             return InteriorClassification.WIDTH_ONE
         facets = self.facets()
         norm, _ = self.normalize_to_lattice(lattice)

@@ -1,24 +1,27 @@
 """Component counting for genus-one Severi varieties of toric surfaces.
 
 Pipeline: from a convex lattice polygon, build the boundary profile (the
-2 x l matrix of primitive inner normals, one column per boundary lattice
-point), derive the normal lattice and its index, and enumerate one
-component descriptor per intermediate lattice.  The number of irreducible
-components equals the number of intermediate affine lattices whose
-interior point count is positive; a literal brute-force path over the
-lattice conditions double-checks the divisor-count formula.
+facets with their primitive inner normals and lengths), derive the normal
+lattice and its index, and enumerate one component descriptor per
+intermediate lattice.  The number of irreducible components equals the
+number of intermediate affine lattices whose interior point count is
+positive; a literal brute-force path over the lattice conditions
+double-checks the divisor-count formula.
 
 Production path (``enumerate_components``, ``count_components``, the
-classification): interior counts come from Pick's theorem in each lattice,
-O(vertices) per lattice, and the lattice width from Gauss reduction, so no
-work grows with the polygon's area; what remains is O(l) boundary work.
-``analyze`` builds the profile once and classifies M0 once, and derives
-both the descriptors and the divisor-formula count from them.
+classification): the profile is O(facets), with the 2 x l normal matrix
+built only by the certificate APIs that read it; the lattices come from
+closed forms on their canonical triangles, O(1) each; interior counts come
+from Pick's theorem in each lattice, O(vertices) per lattice, and the
+lattice width from Gauss reduction, so no work grows with the polygon's
+area or its boundary length.  ``analyze`` builds the profile once and
+classifies M0 once, and derives both the descriptors and the
+divisor-formula count from them.
 Oracle path (``count_components_oracle``, which ``analyze`` always runs):
-takes the affine span of all boundary points itself, tests each lattice's
-boundary condition in O(facets), and decides whether a lattice meets the
-interior by a row walk over the rows of the lattice, O(height / d2 *
-facets), sharing no formula with Pick.  The point scans
+takes the affine span of all boundary points itself (O(l)), tests each
+lattice's boundary condition in O(facets), and decides whether a lattice
+meets the interior by a row walk over the rows of the lattice, O(height /
+d2 * facets), sharing no formula with Pick.  The point scans
 ``interior_points``/``interior_points_in`` serve tests and the verify
 battery only.
 """
@@ -62,68 +65,87 @@ Point = tuple[int, int]
 
 @dataclass(frozen=True)
 class BoundaryProfile:
-    """Boundary data of a polygon: points, facets, normal matrix, lattices.
+    """Boundary data of a polygon: facets, normal lattice, boundary lattice.
 
-    ``a_delta`` has one column per boundary lattice point, equal to the
-    primitive inner normal of the facet owning that point (points are
-    ordered counterclockwise from the first vertex, grouped by facet, so
-    the first l_1 columns are n_1, the next l_2 are n_2, and so on).
-    ``m0`` is the affine span of the boundary points, ``n0`` the linear
-    span of the normals; the two are exchanged by a quarter turn, and
-    ``idx == [Z^2 : n0]``.
+    Held at the level of facets: ``m0`` is the affine span of the boundary
+    points, ``n0`` the linear span of the primitive inner normals; the two
+    are exchanged by a quarter turn, and ``idx == [Z^2 : n0]``.  The
+    per-point views ``owner`` and ``a_delta`` are built on each read, in
+    O(l); ``boundary`` is the polygon's own point list.
     """
 
     polygon: LatticePolygon
-    boundary: tuple[Point, ...]
     facets: tuple[Facet, ...]
-    owner: tuple[int, ...]  # facet index owning each boundary point
-    a_delta: IntMat
     m0: AffineLattice2
     n0: AffineLattice2
     idx: int
 
     @property
     def l(self) -> int:
-        return len(self.boundary)
+        return sum(f.length for f in self.facets)
+
+    @property
+    def boundary(self) -> tuple[Point, ...]:
+        """Boundary lattice points, counterclockwise from the first vertex."""
+        return self.polygon.boundary_points()
+
+    @property
+    def owner(self) -> tuple[int, ...]:
+        """Index of the facet owning each boundary point."""
+        return tuple(f.index for f in self.facets for _ in range(f.length))
+
+    @property
+    def a_delta(self) -> IntMat:
+        """The 2 x l normal matrix, built on each read.
+
+        One column per boundary lattice point, equal to the primitive inner
+        normal of the facet owning that point (points are ordered as in
+        ``boundary``, grouped by facet, so the first l_1 columns are n_1,
+        the next l_2 are n_2, and so on).
+        """
+        row_x: list[int] = []
+        row_y: list[int] = []
+        for f in self.facets:
+            row_x += [f.normal[0]] * f.length
+            row_y += [f.normal[1]] * f.length
+        return IntMat.from_rows([row_x, row_y])
 
 
 def build_profile(polygon: LatticePolygon) -> BoundaryProfile:
-    """Assemble the boundary profile and check its structural invariants."""
+    """Assemble the boundary profile and check its structural invariants.
+
+    O(facets), from facet data alone: ``m0`` is the first vertex plus the
+    span of the primitive edge vectors (every boundary point is a vertex
+    plus multiples of them, and each is a difference of two boundary
+    points); the normals close up when ``sum l_j n_j == 0``; and the
+    invariant factors come from the 2 x f matrix of distinct normals,
+    which has those of the 2 x l ``a_delta``, since repeated columns add no
+    new minors.  The 2 x l matrix is built only where it is read.
+    """
     facets = polygon.facets()
-    boundary = polygon.boundary_points()
-    owner: list[int] = []
-    row_x: list[int] = []
-    row_y: list[int] = []
-    for f in facets:
-        for _ in range(f.length):
-            owner.append(f.index)
-            row_x.append(f.normal[0])
-            row_y.append(f.normal[1])
-    a_delta = IntMat.from_rows([row_x, row_y])
-    if any(a_delta.row_sums()):
+    if sum(f.length * f.normal[0] for f in facets) or sum(
+        f.length * f.normal[1] for f in facets
+    ):
         raise InvariantViolation("facet normals do not close up (sum l_j n_j != 0)")
-    m0 = affine_span(boundary)
+    m0 = AffineLattice2.from_generators(
+        polygon.vertices[0],
+        [(f.vector[0] // f.length, f.vector[1] // f.length) for f in facets],
+    )
     n0 = AffineLattice2.linear_from_generators([f.normal for f in facets])
     if rotate90(m0.linear_part()) != n0:
         raise InvariantViolation(
             "boundary lattice and normal lattice are not rotation dual"
         )
     idx = n0.index_in_z2
-    factors = invariant_factors(a_delta)
+    normals = IntMat.from_rows(
+        [[f.normal[0] for f in facets], [f.normal[1] for f in facets]]
+    )
+    factors = invariant_factors(normals)
     if factors != (1, idx):
         raise InvariantViolation(
             f"normal matrix invariant factors {factors} != (1, {idx})"
         )
-    return BoundaryProfile(
-        polygon=polygon,
-        boundary=boundary,
-        facets=facets,
-        owner=tuple(owner),
-        a_delta=a_delta,
-        m0=m0,
-        n0=n0,
-        idx=idx,
-    )
+    return BoundaryProfile(polygon=polygon, facets=facets, m0=m0, n0=n0, idx=idx)
 
 
 def divisor_of_monomial(profile: BoundaryProfile, m: Sequence[int]) -> tuple[int, ...]:
@@ -141,8 +163,9 @@ def component_signature(profile: BoundaryProfile) -> tuple[int, ...]:
     internal invariant violation.  The certificate (hence z's overall sign)
     is pinned by the deterministic pivot rule of the reduction engine.
     """
-    cert = hsnf(profile.a_delta)
-    raw = profile.a_delta.vec_mat(cert.Q.row(1))
+    a_delta = profile.a_delta
+    cert = hsnf(a_delta)
+    raw = a_delta.vec_mat(cert.Q.row(1))
     z: list[int] = []
     for v in raw:
         quot, rem = divmod(v, profile.idx)
@@ -153,8 +176,9 @@ def component_signature(profile: BoundaryProfile) -> tuple[int, ...]:
         z.append(quot)
     if sum(z) != 0:
         raise InvariantViolation(f"signature {z} does not sum to zero")
+    owner = profile.owner
     for i in range(1, len(z)):
-        if profile.owner[i] == profile.owner[i - 1] and z[i] != z[i - 1]:
+        if owner[i] == owner[i - 1] and z[i] != z[i - 1]:
             raise InvariantViolation(f"signature {z} is not constant on facet blocks")
     return tuple(z)
 
@@ -179,19 +203,15 @@ def width_one_by_rank(profile: BoundaryProfile) -> Optional[tuple[int, int]]:
     rational row space of the normal matrix, which is decided by solving
     against two independent columns and verifying the rest.
     """
-    cols = [
-        (profile.a_delta.entry(0, j), profile.a_delta.entry(1, j))
-        for j in range(profile.l)
-    ]
+    a_delta = profile.a_delta
+    l = a_delta.cols
+    cols = [(a_delta.entry(0, j), a_delta.entry(1, j)) for j in range(l)]
     p = 0
     q = next(
-        j
-        for j in range(1, profile.l)
-        if cols[0][0] * cols[j][1] - cols[0][1] * cols[j][0]
+        j for j in range(1, l) if cols[0][0] * cols[j][1] - cols[0][1] * cols[j][0]
     )
     cp, cq = cols[p], cols[q]
     det = cp[0] * cq[1] - cp[1] * cq[0]
-    l = profile.l
     for i1 in range(l):
         c1 = cols[i1]
         for i2 in range(i1 + 1, l):
@@ -342,7 +362,7 @@ def _holds_boundary(lattice: AffineLattice2, facets: Sequence[Facet]) -> bool:
     for f in facets:
         (x, y), (vx, vy) = f.start, f.vector
         step = (x + vx // f.length, y + vy // f.length)
-        if not (lattice.contains(f.start) and lattice.contains(step)):
+        if not (lattice._has(f.start) and lattice._has(step)):
             return False
     return True
 

@@ -223,9 +223,10 @@ def run_verification(
         oracle = severi.count_components_oracle(poly)
         counts.record(formula == oracle, lambda: f"{poly!r}: {formula} vs {oracle}")
 
-        fs = invariant_factors(profile.a_delta)
-        g1 = minor_gcd(profile.a_delta, 1)
-        g2 = minor_gcd(profile.a_delta, 2)
+        a_delta = profile.a_delta
+        fs = invariant_factors(a_delta)
+        g1 = minor_gcd(a_delta, 1)
+        g2 = minor_gcd(a_delta, 2)
         factors_check.record(
             fs == (1, profile.idx) and g1 == 1 and g2 == profile.idx,
             lambda: f"{poly!r}: snf {fs}, minors ({g1}, {g2}), idx {profile.idx}",
@@ -243,10 +244,9 @@ def run_verification(
         )
 
         z = severi.component_signature(profile)
+        owner = profile.owner
         blocks_ok = all(
-            z[i] == z[i - 1]
-            for i in range(1, profile.l)
-            if profile.owner[i] == profile.owner[i - 1]
+            z[i] == z[i - 1] for i in range(1, len(owner)) if owner[i] == owner[i - 1]
         )
         signature.record(
             sum(z) == 0 and blocks_ok, lambda: f"{poly!r}: z = {z}"

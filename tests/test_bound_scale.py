@@ -1,11 +1,12 @@
 """``analyze`` at the documented coordinate bound |c| <= 10^4.
 
-Each polygon must finish within BUDGET_S seconds.  The work left is O(l)
-in the number of boundary points (here up to 6 * 10^4); interior counts
-come from Pick's theorem and the width from Gauss reduction, so nothing
-grows with the area (up to 2 * 10^8).  The budget leaves room for hosts
-that run two or more times slower than a quiet one, where each polygon
-takes under a second.
+Each polygon must finish within BUDGET_S seconds.  The only work left
+that grows with the number l of boundary points (here up to 6 * 10^4) is
+the oracle's span of all of them; the profile is O(facets), interior
+counts come from Pick's theorem and the width from Gauss reduction, so
+nothing grows with the area (up to 2 * 10^8).  The budget leaves room
+for hosts that run two or more times slower than a quiet one, where each
+polygon takes under 0.1 s.
 """
 
 import time

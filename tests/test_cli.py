@@ -63,6 +63,14 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert out.startswith("{\n")
 
+    @pytest.mark.parametrize("flag", ["--oracle", "--json"])
+    def test_removed_no_op_flags_are_usage_errors(self, d3_file, flag, capsys):
+        # analyze always runs the oracle and prints compact JSON by default
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", flag, d3_file])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_invalid_polygon(self, tmp_path, capsys):
         bad = write_json(
             tmp_path / "bad.json",

@@ -7,10 +7,13 @@
 - the oracle's row walk ``_meets_interior`` against the point scan;
 - the oracle's per-facet boundary test ``_holds_boundary`` against a test
   of every boundary point;
+- the facet-level boundary profile (``m0`` from the primitive edge
+  vectors, invariant factors of the 2 x f normal matrix, ``a_delta`` built
+  on demand) against the literal 2 x l versions over all boundary points;
 - that the oracle never uses Pick or the area, and production never scans.
 
-Inputs: every polygon of corpus max-coord 4 plus random polygons with
-|coordinate| <= 60 drawn by hypothesis.
+Inputs: every polygon of corpus max-coord 4 (3 for the profile) plus
+random polygons with |coordinate| <= 60 drawn by hypothesis.
 """
 
 import random
@@ -19,7 +22,8 @@ from math import gcd
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from severi_lattice.corpus import convex_hull
+from severi_lattice.corpus import CorpusSpec, convex_hull, iter_corpus
+from severi_lattice.intmat import IntMat, invariant_factors
 from severi_lattice.lattices import AffineLattice2, Z2, affine_span
 from severi_lattice.polygons import (
     LatticePolygon,
@@ -30,6 +34,7 @@ from severi_lattice.severi import (
     _holds_boundary,
     _meets_interior,
     analyze,
+    build_profile,
     count_components,
     count_components_oracle,
     enumerate_components,
@@ -251,6 +256,49 @@ class TestOracleBoundaryTest:
         for lat in lattices_in_play(poly) + extra + [shifted]:
             expected = all(lat.contains(p) for p in poly.boundary_points())
             assert _holds_boundary(lat, poly.facets()) == expected
+
+
+def literal_normal_matrix(poly):
+    """The 2 x l matrix with, for each boundary point in order, the normal of
+    the facet whose half-open segment [start, end) holds it."""
+    cols = []
+    for x, y in poly.boundary_points():
+        owners = [
+            f
+            for f in poly.facets()
+            if f.normal[0] * (x - f.start[0]) + f.normal[1] * (y - f.start[1]) == 0
+            and (x, y) != f.end
+        ]
+        assert len(owners) == 1, (poly, (x, y))
+        cols.append(owners[0].normal)
+    return IntMat.from_rows([[c[0] for c in cols], [c[1] for c in cols]])
+
+
+def assert_profile_matches_literal(poly):
+    profile = build_profile(poly)
+    literal = literal_normal_matrix(poly)
+    assert profile.m0 == affine_span(poly.boundary_points())
+    assert profile.a_delta == literal
+    assert profile.l == literal.cols == len(poly.boundary_points())
+    assert not any(literal.row_sums())
+    assert invariant_factors(literal) == (1, profile.idx)
+    facet_level = IntMat.from_rows(
+        [[f.normal[0] for f in poly.facets()], [f.normal[1] for f in poly.facets()]]
+    )
+    assert invariant_factors(facet_level) == invariant_factors(literal)
+
+
+class TestFacetLevelProfile:
+    """The O(facets) profile equals what the 2 x l data gives."""
+
+    def test_corpus3(self):
+        for poly in iter_corpus(CorpusSpec(max_coordinate=3)):
+            assert_profile_matches_literal(poly)
+
+    @settings(max_examples=100, deadline=None)
+    @given(polygons())
+    def test_random(self, poly):
+        assert_profile_matches_literal(poly)
 
 
 class TestPathIndependence:

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from severi_lattice.errors import DomainError
+from severi_lattice.intmat import IntMat, snf
 from severi_lattice.lattices import (
     AffineLattice2,
     Z2,
@@ -237,6 +238,133 @@ class TestIntermediates:
                             found.add(cand)
         assert found == set(mids)
         assert len(mids) == len(divisors(idx))
+
+
+def reference_rotate90(lat):
+    return AffineLattice2.linear_from_generators(
+        [(-g[1], g[0]) for g in lat.generators()]
+    )
+
+
+def reference_translate(lat, point):
+    return AffineLattice2.from_generators(point, lat.generators())
+
+
+def reference_span(points):
+    x0, y0 = points[0]
+    return AffineLattice2.from_generators(
+        points[0], [(x - x0, y - y0) for x, y in points[1:]]
+    )
+
+
+def reference_intermediates(l0):
+    """The lattices between ``l0`` and Z^2 from the SNF of its basis.
+
+    In the coordinates where ``l0 = span(e1, idx * e2)``, the lattice of
+    index ``d`` over ``l0`` is ``span(e1, (idx/d) * e2)``; mapped back by
+    the inverse of the SNF's column certificate.
+    """
+    res = snf(IntMat.from_rows([list(r) for r in l0.basis]))
+    a1, a2 = res.diagonal()
+    if a1 != 1:
+        raise DomainError(f"Z^2 quotient is not cyclic (invariant factors {a1}, {a2})")
+    det = res.Q.det()
+    qa, qb, qc, qd = res.Q.entries
+    inv = ((qd // det, -qb // det), (-qc // det, qa // det))
+    idx = l0.index_in_z2
+    return [
+        AffineLattice2.linear_from_generators(
+            [(inv[0][0], inv[1][0]), (idx // d * inv[0][1], idx // d * inv[1][1])]
+        )
+        for d in divisors(idx)
+    ]
+
+
+def assert_canonical(lat):
+    # the validating constructor accepts the value as it stands
+    assert AffineLattice2(lat.basepoint, lat.basis) == lat
+
+
+class TestClosedForms:
+    """Closed forms on (d1, e, d2) against references through from_generators."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        linear_lattices(bound=12),
+        st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
+    )
+    def test_rotate_and_translate(self, lat, point):
+        for got, want in (
+            (rotate90(lat), reference_rotate90(lat)),
+            (lat.translate(point), reference_translate(lat, point)),
+            (lat.linear_part(), lat),
+        ):
+            assert got == want
+            assert_canonical(got)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_affine_span(self, points):
+        try:
+            want = reference_span(points)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as got_exc:
+                affine_span(points)
+            assert str(got_exc.value) == str(exc)
+            return
+        got = affine_span(points)
+        assert got == want
+        assert_canonical(got)
+
+    @settings(max_examples=300, deadline=None)
+    @given(linear_lattices(bound=12))
+    def test_intermediate_lattices(self, lat):
+        try:
+            want = reference_intermediates(lat)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as got_exc:
+                intermediate_lattices(lat)
+            assert str(got_exc.value) == str(exc)
+            return
+        got = intermediate_lattices(lat)
+        assert got == want
+        for d, mid in zip(divisors(lat.index_in_z2), got):
+            assert_canonical(mid)
+            assert lattice_index(lat, mid) == d
+
+    @pytest.mark.parametrize(
+        "basis, factors",
+        [
+            (((2, 0), (0, 2)), "2, 2"),
+            (((4, 2), (0, 6)), "2, 12"),
+            (((3, 0), (0, 9)), "3, 9"),
+        ],
+    )
+    def test_non_cyclic_error_text(self, basis, factors):
+        lat = AffineLattice2((0, 0), basis)
+        with pytest.raises(DomainError) as exc:
+            intermediate_lattices(lat)
+        assert str(exc.value) == (
+            f"Z^2 quotient is not cyclic (invariant factors {factors})"
+        )
+
+    def test_outside_input_is_still_checked(self):
+        lat = AffineLattice2.linear_from_generators([(2, 0), (1, 3)])
+        for bad in [(1.0, 0), (1,), "ab", (True, 0)]:
+            with pytest.raises(DomainError):
+                lat.contains(bad)
+            with pytest.raises(DomainError):
+                lat.translate(bad)
+            with pytest.raises(DomainError):
+                affine_span([(0, 0), bad])
+            with pytest.raises(DomainError):
+                AffineLattice2.from_generators(bad, [(1, 0), (0, 1)])
 
 
 def test_divisors():

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+import severi_lattice.polygons
 import severi_lattice.severi
 from severi_lattice.corpus import (
     CorpusSpec,
@@ -314,6 +315,28 @@ class TestSinglePass:
             calls.clear()
             analyze(LatticePolygon(poly.vertices))
             assert calls == {"build_profile": 1, "classify": 1}
+
+    def test_one_width_reduction(self, monkeypatch, triangle_d2, unit_square):
+        # an empty M0 interior needs the width to classify and the report
+        # needs it again; the reduction runs once
+        calls = Counter()
+        reduce = severi_lattice.polygons._width_of_vertices
+
+        def counting_reduce(verts):
+            calls["reduce"] += 1
+            return reduce(verts)
+
+        monkeypatch.setattr(
+            severi_lattice.polygons, "_width_of_vertices", counting_reduce
+        )
+        for poly, cls in (
+            (triangle_d2, InteriorClassification.TWICE_PRIMITIVE_TRIANGLE),
+            (unit_square, InteriorClassification.WIDTH_ONE),
+        ):
+            calls.clear()
+            report = analyze(LatticePolygon(poly.vertices))
+            assert report.classification_m0 is cls
+            assert calls == {"reduce": 1}
 
     def test_public_helpers_agree_with_analyze(self):
         for poly in iter_corpus(CorpusSpec(max_coordinate=3)):
