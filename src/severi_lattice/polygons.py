@@ -489,18 +489,41 @@ def brute_force_width(
 ) -> tuple[int, Point]:
     """Width by exhaustive scan over primitive directions with sup-norm bound.
 
-    Test oracle; independent of the candidate construction above.
+    Test oracle; independent of the reduction above.  Returns the smallest
+    width over the primitive (dx, dy) with 0 <= dx <= sup_norm, |dy| <=
+    sup_norm and the first nonzero coordinate positive, ties going to the
+    lexicographically smallest direction.
+
+    The scan skips only directions that cannot be minimizers.  With
+    sup_norm >= 1 the box holds (1, 0) and (0, 1), so every minimizer n has
+    w(n) <= W = min(w(1, 0), w(0, 1)).  With e = top vertex - bottom
+    vertex, w(n) >= |n.e|, since n.top and n.bottom are two of the values
+    whose spread is w(n).  So a minimizer has |dx*e_x + dy*e_y| <= W: for
+    each dx an interval of dy of length 2W/e_y <= 2 (e_y = w(0, 1) >= W),
+    which holds at most three integers.  Every skipped direction is wider
+    than W, so it neither wins nor ties.  O(sup_norm * vertices).
     """
     verts = polygon.vertices
+
+    def spread(dx: int, dy: int) -> int:
+        vals = [dx * x + dy * y for (x, y) in verts]
+        return max(vals) - min(vals)
+
+    top = max(verts, key=lambda v: v[1])
+    bottom = min(verts, key=lambda v: v[1])
+    ex, ey = top[0] - bottom[0], top[1] - bottom[1]
+    bound = min(spread(1, 0), spread(0, 1))
     best: Optional[tuple[int, Point]] = None
     for dx in range(0, sup_norm + 1):
-        for dy in range(-sup_norm, sup_norm + 1):
+        # -bound <= dx*ex + dy*ey <= bound, with ey >= 1
+        lo = max(-sup_norm, -((bound + dx * ex) // ey))
+        hi = min(sup_norm, (bound - dx * ex) // ey)
+        for dy in range(lo, hi + 1):
             if dx == 0 and dy <= 0:
                 continue
             if gcd(dx, abs(dy)) != 1:
                 continue
-            vals = [dx * x + dy * y for (x, y) in verts]
-            w = max(vals) - min(vals)
+            w = spread(dx, dy)
             d = (dx, dy)
             if best is None or w < best[0] or (w == best[0] and d < best[1]):
                 best = (w, d)

@@ -4,6 +4,8 @@
   ``interior_points_in``;
 - the Gauss-reduced ``_width_of_vertices`` against the square scan it
   replaced (kept here as an oracle) and against ``brute_force_width``;
+- the pruned ``brute_force_width`` against the full sup-norm box scan it
+  replaced (kept here as the reference);
 - the oracle's row walk ``_meets_interior`` against the point scan;
 - the oracle's per-facet boundary test ``_holds_boundary`` against a test
   of every boundary point;
@@ -13,7 +15,8 @@
 - that the oracle never uses Pick or the area, and production never scans.
 
 Inputs: every polygon of corpus max-coord 4 (3 for the profile) plus
-random polygons with |coordinate| <= 60 drawn by hypothesis.
+random polygons with |coordinate| <= 60 (100 for the box scan) drawn by
+hypothesis.
 """
 
 import random
@@ -97,6 +100,24 @@ def square_scan_width(verts):
             if gcd(abs(nx), abs(ny)) != 1:
                 continue
             consider((nx, ny))
+    return best
+
+
+def full_box_width(poly, sup_norm):
+    """Every primitive direction of the sup-norm box, as brute_force_width
+    scanned before it skipped the directions that cannot be minimizers."""
+    best = None
+    for dx in range(0, sup_norm + 1):
+        for dy in range(-sup_norm, sup_norm + 1):
+            if dx == 0 and dy <= 0:
+                continue
+            if gcd(dx, abs(dy)) != 1:
+                continue
+            vals = [dx * x + dy * y for (x, y) in poly.vertices]
+            w = max(vals) - min(vals)
+            d = (dx, dy)
+            if best is None or w < best[0] or (w == best[0] and d < best[1]):
+                best = (w, d)
     return best
 
 
@@ -222,6 +243,23 @@ class TestReducedWidth:
             apex = (rng.randint(-3, 3), 1)
             poly = LatticePolygon(convex_hull([(0, 0), (a * k, b * k), apex]))
             assert _width_of_vertices(poly.vertices) == square_scan_width(poly.vertices)
+
+
+class TestPrunedBoxScan:
+    """brute_force_width skips directions, never a minimizer or a tie."""
+
+    SUP_NORMS = (1, 2, 7, 25)
+
+    def test_corpus4(self, corpus4):
+        for poly in corpus4:
+            for s in self.SUP_NORMS:
+                assert brute_force_width(poly, s) == full_box_width(poly, s), (poly, s)
+
+    @settings(max_examples=500, deadline=None)
+    @given(polygons(bound=100))
+    def test_random(self, poly):
+        for s in self.SUP_NORMS:
+            assert brute_force_width(poly, s) == full_box_width(poly, s)
 
 
 class TestRowWalk:

@@ -1,9 +1,9 @@
 """Golden digests: the sha256 of what the pipeline prints is pinned.
 
 Any change to the analyze pipeline (closed forms in place of scans,
-refactors of the profile or the width search) or to the normal-form
-engine must leave every output byte as it is; these digests were recorded
-before such changes were made.
+refactors of the profile or the width search), to the normal-form engine
+or to the verify battery must leave every output byte as it is; these
+digests were recorded before such changes were made.
 """
 
 import hashlib
@@ -25,6 +25,8 @@ CLI_COUNT_SHA256 = "0870edcd8f27b20160abf10c844f51ca45c4e5cc86a943d6eee9e5fbff71
 CLI_COMPONENTS_SHA256 = "ca46b23c41a02640cfceee3bec7ceb4b6bfbe5a20eafa9ea4f48168cda70383f"
 CLI_SNF_SHA256 = "9e908fabdeab0787650d44071f22edb6b16b853e47f195930d5028f705e8a0c6"
 CLI_HSNF_SHA256 = "22f27fc45a9bc9c8c07ec23d9a913705705c49b86705cfb5b38fe6e1bda4e191"
+# stdout of severi verify --max-coord 3 --trials 10 --seed 0
+CLI_VERIFY_SHA256 = "4356def34613b4c021a59db5657c137860794334a1bffb04534d50bf0b2eb933"
 
 
 def _digest(polygons) -> tuple[int, str]:
@@ -114,3 +116,12 @@ def test_cli_corpus3_digest(command, expected, corpus3_files, capsys):
 def test_cli_normal_form_digest(command, balanced, expected, tmp_path, capsys):
     paths = _write_docs(tmp_path, _seeded_matrices(balanced))
     assert _cli_digest(command, paths, capsys) == expected
+
+
+def test_cli_verify_digest(capsys):
+    capsys.readouterr()
+    assert main(["verify", "--max-coord", "3", "--trials", "10", "--seed", "0"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.endswith("ALL CHECKS PASSED\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_VERIFY_SHA256
