@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import severi
+from . import oracles, severi
 from .corpus import CorpusSpec, iter_corpus
 from .errors import DomainError, InvariantViolation
 from .intmat import IntMat, hsnf, snf
@@ -28,9 +28,12 @@ EXIT_INVARIANT_VIOLATION = 2
 
 
 def _dump(data, pretty: bool) -> str:
-    if pretty:
-        return json.dumps(data, indent=2)
-    return json.dumps(data, separators=(",", ":"))
+    try:
+        if pretty:
+            return json.dumps(data, indent=2)
+        return json.dumps(data, separators=(",", ":"))
+    except ValueError as exc:  # an integer beyond the int-to-str digit limit
+        raise DomainError(f"result too large to print: {exc}") from exc
 
 
 def _load_json(path: str):
@@ -71,7 +74,7 @@ def _cmd_count(args) -> int:
     polygon = _load_polygon(args.file)
     count = severi.count_components(polygon)
     if args.oracle:
-        oracle = severi.count_components_oracle(polygon)
+        oracle = oracles.count_components_oracle(polygon)
         if oracle != count:
             raise InvariantViolation(
                 f"component count {count} disagrees with the oracle count {oracle}"

@@ -16,7 +16,7 @@ from math import gcd
 from typing import Iterator, Optional, Sequence
 
 from .errors import DomainError
-from .polygons import LatticePolygon
+from .polygons import LatticePolygon, _angle_less
 
 __all__ = [
     "CorpusSpec",
@@ -25,7 +25,6 @@ __all__ = [
     "enumerate_corpus",
     "iter_corpus",
     "random_polygon",
-    "random_unimodular_map",
 ]
 
 Point = tuple[int, int]
@@ -63,18 +62,9 @@ def _angular_directions(bound: int) -> list[Point]:
         for dy in range(-bound, bound + 1)
         if (dx or dy) and gcd(abs(dx), abs(dy)) == 1
     ]
-
-    def half(v: Point) -> int:
-        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-    def cmp(u: Point, v: Point) -> int:
-        hu, hv = half(u), half(v)
-        if hu != hv:
-            return hu - hv
-        c = u[0] * v[1] - u[1] * v[0]
-        return -1 if c > 0 else (1 if c < 0 else 0)
-
-    return sorted(dirs, key=cmp_to_key(cmp))
+    return sorted(
+        dirs, key=cmp_to_key(lambda u, v: _angle_less(v, u) - _angle_less(u, v))
+    )
 
 
 def _edge_classes(bound: int) -> list[tuple[Point, ...]]:
@@ -136,6 +126,9 @@ def _edge_classes(bound: int) -> list[tuple[Point, ...]]:
             mult += 1
 
     dfs(0, 0, 0, 0, 0, 0, 0)
+    # dfs refers to itself through its closure cell; clearing the cell breaks
+    # that cycle, so the tuple list is freed by reference counting
+    del dfs
     polygons.sort()
     return polygons
 
@@ -202,41 +195,3 @@ def random_polygon(rng: random.Random, max_abs: int, max_points: int = 10) -> La
         hull = convex_hull(pts)
         if len(hull) >= 3:
             return LatticePolygon(hull)
-
-
-def random_unimodular_map(
-    rng: random.Random, ops: int = 6, coeff: int = 2, shift: int = 5
-) -> tuple[tuple[tuple[int, int], tuple[int, int]], Point]:
-    """Random affine unimodular map (U, t): v -> U @ v + t.
-
-    U is a product of a few elementary shears/swaps/negations, so |det U|
-    is 1 and entries stay desk-scale.
-    """
-    u = [[1, 0], [0, 1]]
-    for _ in range(rng.randint(1, ops)):
-        kind = rng.randrange(3)
-        if kind == 0:  # shear row 0 by row 1
-            c = rng.randint(-coeff, coeff)
-            u[0][0] += c * u[1][0]
-            u[0][1] += c * u[1][1]
-        elif kind == 1:  # shear row 1 by row 0
-            c = rng.randint(-coeff, coeff)
-            u[1][0] += c * u[0][0]
-            u[1][1] += c * u[0][1]
-        else:  # swap with a sign twist (stays unimodular)
-            u[0], u[1] = [-v for v in u[1]], u[0]
-    t = (rng.randint(-shift, shift), rng.randint(-shift, shift))
-    return ((u[0][0], u[0][1]), (u[1][0], u[1][1])), t
-
-
-def apply_affine_map(
-    umap: tuple[tuple[tuple[int, int], tuple[int, int]], Point],
-    polygon: LatticePolygon,
-) -> LatticePolygon:
-    (u, t) = umap
-    return LatticePolygon(
-        [
-            (u[0][0] * x + u[0][1] * y + t[0], u[1][0] * x + u[1][1] * y + t[1])
-            for x, y in polygon.vertices
-        ]
-    )

@@ -7,9 +7,10 @@ non-convex input.  All computations are exact integer arithmetic.
 
 Interior counts (``interior_count_in``, Pick's theorem, O(vertices)) and
 the lattice width (Gauss reduction, O(vertices * log width) per step) are
-the production path; the point scans ``interior_points`` and
-``interior_points_in`` (O(area)) and ``brute_force_width`` are oracles for
-tests and the verify battery.
+the production path.  The point scans ``interior_points`` and
+``interior_points_in`` (O(area)) are oracles for tests and the verify
+battery; they stay methods so their results cache on the polygon.  The
+width oracle ``brute_force_width`` lives in ``oracles``.
 """
 
 from __future__ import annotations
@@ -194,14 +195,6 @@ class LatticePolygon:
                     pts.append((sx + t * px, sy + t * py))
             self._cache["boundary"] = tuple(pts)
         return self._cache["boundary"]
-
-    def contains_interior(self, point: Sequence[int]) -> bool:
-        """Strict interior test: left of every edge."""
-        x, y = point
-        for f in self.facets():
-            if f.normal[0] * (x - f.start[0]) + f.normal[1] * (y - f.start[1]) <= 0:
-                return False
-        return True
 
     def interior_points(self) -> tuple[Point, ...]:
         """All lattice points strictly inside, by exact bounding-box scan.
@@ -478,53 +471,6 @@ def _width_of_vertices(verts: Sequence[Point]) -> tuple[int, Point]:
                 continue
             d = canon(combine(x, y))
             w = spread(d)
-            if best is None or w < best[0] or (w == best[0] and d < best[1]):
-                best = (w, d)
-    assert best is not None
-    return best
-
-
-def brute_force_width(
-    polygon: LatticePolygon, sup_norm: int = 25
-) -> tuple[int, Point]:
-    """Width by exhaustive scan over primitive directions with sup-norm bound.
-
-    Test oracle; independent of the reduction above.  Returns the smallest
-    width over the primitive (dx, dy) with 0 <= dx <= sup_norm, |dy| <=
-    sup_norm and the first nonzero coordinate positive, ties going to the
-    lexicographically smallest direction.
-
-    The scan skips only directions that cannot be minimizers.  With
-    sup_norm >= 1 the box holds (1, 0) and (0, 1), so every minimizer n has
-    w(n) <= W = min(w(1, 0), w(0, 1)).  With e = top vertex - bottom
-    vertex, w(n) >= |n.e|, since n.top and n.bottom are two of the values
-    whose spread is w(n).  So a minimizer has |dx*e_x + dy*e_y| <= W: for
-    each dx an interval of dy of length 2W/e_y <= 2 (e_y = w(0, 1) >= W),
-    which holds at most three integers.  Every skipped direction is wider
-    than W, so it neither wins nor ties.  O(sup_norm * vertices).
-    """
-    verts = polygon.vertices
-
-    def spread(dx: int, dy: int) -> int:
-        vals = [dx * x + dy * y for (x, y) in verts]
-        return max(vals) - min(vals)
-
-    top = max(verts, key=lambda v: v[1])
-    bottom = min(verts, key=lambda v: v[1])
-    ex, ey = top[0] - bottom[0], top[1] - bottom[1]
-    bound = min(spread(1, 0), spread(0, 1))
-    best: Optional[tuple[int, Point]] = None
-    for dx in range(0, sup_norm + 1):
-        # -bound <= dx*ex + dy*ey <= bound, with ey >= 1
-        lo = max(-sup_norm, -((bound + dx * ex) // ey))
-        hi = min(sup_norm, (bound - dx * ex) // ey)
-        for dy in range(lo, hi + 1):
-            if dx == 0 and dy <= 0:
-                continue
-            if gcd(dx, abs(dy)) != 1:
-                continue
-            w = spread(dx, dy)
-            d = (dx, dy)
             if best is None or w < best[0] or (w == best[0] and d < best[1]):
                 best = (w, d)
     assert best is not None

@@ -5,37 +5,30 @@ facets with their primitive inner normals and lengths), derive the normal
 lattice and its index, and enumerate one component descriptor per
 intermediate lattice.  The number of irreducible components equals the
 number of intermediate affine lattices whose interior point count is
-positive; a literal brute-force path over the lattice conditions
-double-checks the divisor-count formula.
+positive.
 
 Production path (``enumerate_components``, ``count_components``, the
-classification): the profile is O(facets), with the 2 x l normal matrix
-built only by the certificate APIs that read it; the lattices come from
-closed forms on their canonical triangles, O(1) each; interior counts come
-from Pick's theorem in each lattice, O(vertices) per lattice, and the
-lattice width from Gauss reduction, so no work grows with the polygon's
-area or its boundary length.  ``analyze`` builds the profile once and
-classifies M0 once, and derives both the descriptors and the
-divisor-formula count from them.
-Oracle path (``count_components_oracle``, which ``analyze`` always runs):
-takes the affine span of all boundary points itself (O(l)), tests each
-lattice's boundary condition in O(facets), and decides whether a lattice
-meets the interior by a row walk over the rows of the lattice, O(height /
-d2 * facets), sharing no formula with Pick.  The point scans
-``interior_points``/``interior_points_in`` serve tests and the verify
-battery only.
+classification): the profile is O(facets); the lattices come from closed
+forms on their canonical triangles, O(1) each; interior counts come from
+Pick's theorem in each lattice, O(vertices) per lattice, and the lattice
+width from Gauss reduction, so no work grows with the polygon's area or
+its boundary length.  ``analyze`` builds the profile once and classifies
+M0 once, derives both the descriptors and the divisor-formula count from
+them, and checks the count against ``oracles.count_components_oracle``,
+which shares no formula with this module.  The per-point normal matrix
+and the certificates read from it live in ``certificates``; this module
+imports no ``intmat``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
+from . import oracles
 from .errors import DomainError, InvariantViolation
-from .intmat import IntMat, hsnf, invariant_factors, rank
 from .lattices import (
     AffineLattice2,
-    affine_span,
     divisors,
     intermediate_lattices,
     lattice_index,
@@ -49,13 +42,8 @@ __all__ = [
     "SeveriReport",
     "build_profile",
     "divisor_of_monomial",
-    "component_signature",
-    "diagonal_rank_matrix",
-    "width_one_by_rank",
-    "expected_kernel_dimension",
     "enumerate_components",
     "count_components",
-    "count_components_oracle",
     "severi_dimension",
     "analyze",
 ]
@@ -70,8 +58,8 @@ class BoundaryProfile:
     Held at the level of facets: ``m0`` is the affine span of the boundary
     points, ``n0`` the linear span of the primitive inner normals; the two
     are exchanged by a quarter turn, and ``idx == [Z^2 : n0]``.  The
-    per-point views ``owner`` and ``a_delta`` are built on each read, in
-    O(l); ``boundary`` is the polygon's own point list.
+    per-point views (``certificates.a_delta``, ``certificates.owner``) are
+    built from the facets where they are read.
     """
 
     polygon: LatticePolygon
@@ -84,32 +72,6 @@ class BoundaryProfile:
     def l(self) -> int:
         return sum(f.length for f in self.facets)
 
-    @property
-    def boundary(self) -> tuple[Point, ...]:
-        """Boundary lattice points, counterclockwise from the first vertex."""
-        return self.polygon.boundary_points()
-
-    @property
-    def owner(self) -> tuple[int, ...]:
-        """Index of the facet owning each boundary point."""
-        return tuple(f.index for f in self.facets for _ in range(f.length))
-
-    @property
-    def a_delta(self) -> IntMat:
-        """The 2 x l normal matrix, built on each read.
-
-        One column per boundary lattice point, equal to the primitive inner
-        normal of the facet owning that point (points are ordered as in
-        ``boundary``, grouped by facet, so the first l_1 columns are n_1,
-        the next l_2 are n_2, and so on).
-        """
-        row_x: list[int] = []
-        row_y: list[int] = []
-        for f in self.facets:
-            row_x += [f.normal[0]] * f.length
-            row_y += [f.normal[1]] * f.length
-        return IntMat.from_rows([row_x, row_y])
-
 
 def build_profile(polygon: LatticePolygon) -> BoundaryProfile:
     """Assemble the boundary profile and check its structural invariants.
@@ -117,10 +79,11 @@ def build_profile(polygon: LatticePolygon) -> BoundaryProfile:
     O(facets), from facet data alone: ``m0`` is the first vertex plus the
     span of the primitive edge vectors (every boundary point is a vertex
     plus multiples of them, and each is a difference of two boundary
-    points); the normals close up when ``sum l_j n_j == 0``; and the
-    invariant factors come from the 2 x f matrix of distinct normals,
-    which has those of the 2 x l ``a_delta``, since repeated columns add no
-    new minors.  The 2 x l matrix is built only where it is read.
+    points); the normals close up when ``sum l_j n_j == 0``; and ``n0`` is
+    the quarter turn of ``m0``'s linear part.  The invariant factors of the
+    normal matrix are (1, idx) by construction: each primitive normal has
+    entry gcd 1, and the gcd of the 2 x 2 minors is the index of the
+    normals' span.  The verify battery checks them on the 2 x l matrix.
     """
     facets = polygon.facets()
     if sum(f.length * f.normal[0] for f in facets) or sum(
@@ -136,16 +99,9 @@ def build_profile(polygon: LatticePolygon) -> BoundaryProfile:
         raise InvariantViolation(
             "boundary lattice and normal lattice are not rotation dual"
         )
-    idx = n0.index_in_z2
-    normals = IntMat.from_rows(
-        [[f.normal[0] for f in facets], [f.normal[1] for f in facets]]
+    return BoundaryProfile(
+        polygon=polygon, facets=facets, m0=m0, n0=n0, idx=n0.index_in_z2
     )
-    factors = invariant_factors(normals)
-    if factors != (1, idx):
-        raise InvariantViolation(
-            f"normal matrix invariant factors {factors} != (1, {idx})"
-        )
-    return BoundaryProfile(polygon=polygon, facets=facets, m0=m0, n0=n0, idx=idx)
 
 
 def divisor_of_monomial(profile: BoundaryProfile, m: Sequence[int]) -> tuple[int, ...]:
@@ -153,88 +109,6 @@ def divisor_of_monomial(profile: BoundaryProfile, m: Sequence[int]) -> tuple[int
     if len(m) != 2 or type(m[0]) is not int or type(m[1]) is not int:
         raise DomainError(f"monomial exponent must be an integer pair, got {m!r}")
     return tuple(m[0] * f.normal[0] + m[1] * f.normal[1] for f in profile.facets)
-
-
-def component_signature(profile: BoundaryProfile) -> tuple[int, ...]:
-    """Torsion-order test vector z = R2(Q) @ A / idx from the HSNF certificate.
-
-    The certificate row combination is exactly divisible by the index, sums
-    to zero, and is constant on facet blocks; any failure is reported as an
-    internal invariant violation.  The certificate (hence z's overall sign)
-    is pinned by the deterministic pivot rule of the reduction engine.
-    """
-    a_delta = profile.a_delta
-    cert = hsnf(a_delta)
-    raw = a_delta.vec_mat(cert.Q.row(1))
-    z: list[int] = []
-    for v in raw:
-        quot, rem = divmod(v, profile.idx)
-        if rem:
-            raise InvariantViolation(
-                f"signature {raw} is not divisible by the index {profile.idx}"
-            )
-        z.append(quot)
-    if sum(z) != 0:
-        raise InvariantViolation(f"signature {z} does not sum to zero")
-    owner = profile.owner
-    for i in range(1, len(z)):
-        if owner[i] == owner[i - 1] and z[i] != z[i - 1]:
-            raise InvariantViolation(f"signature {z} is not constant on facet blocks")
-    return tuple(z)
-
-
-def diagonal_rank_matrix(profile: BoundaryProfile, i1: int, i2: int) -> IntMat:
-    """The normal matrix with the diagonal test row e_{i1} - e_{i2} adjoined."""
-    l = profile.l
-    if not 0 <= i1 < i2 < l:
-        raise DomainError(f"need 0 <= i1 < i2 < {l}, got ({i1}, {i2})")
-    third = [0] * l
-    third[i1] = 1
-    third[i2] = -1
-    rows = profile.a_delta.to_rows() + [third]
-    return IntMat.from_rows(rows)
-
-
-def width_one_by_rank(profile: BoundaryProfile) -> Optional[tuple[int, int]]:
-    """First pair (i1, i2) with rank of the adjoined matrix still two, if any.
-
-    Such a pair exists iff the polygon has width one in the boundary
-    lattice.  Rank stays two exactly when e_{i1} - e_{i2} lies in the
-    rational row space of the normal matrix, which is decided by solving
-    against two independent columns and verifying the rest.
-    """
-    a_delta = profile.a_delta
-    l = a_delta.cols
-    cols = [(a_delta.entry(0, j), a_delta.entry(1, j)) for j in range(l)]
-    p = 0
-    q = next(
-        j for j in range(1, l) if cols[0][0] * cols[j][1] - cols[0][1] * cols[j][0]
-    )
-    cp, cq = cols[p], cols[q]
-    det = cp[0] * cq[1] - cp[1] * cq[0]
-    for i1 in range(l):
-        c1 = cols[i1]
-        for i2 in range(i1 + 1, l):
-            if cols[i2] == c1:
-                continue  # equal columns force rank three
-            tp = (1 if p == i1 else 0) - (1 if p == i2 else 0)
-            tq = (1 if q == i1 else 0) - (1 if q == i2 else 0)
-            mx = cq[1] * tp - cp[1] * tq
-            my = cp[0] * tq - cq[0] * tp
-            for i, (cx, cy) in enumerate(cols):
-                ti = (1 if i == i1 else 0) - (1 if i == i2 else 0)
-                if mx * cx + my * cy != det * ti:
-                    break
-            else:
-                return (i1, i2)
-    return None
-
-
-def expected_kernel_dimension(a: IntMat) -> int:
-    """Dimension l - r of the kernel locus attached to a zero-row-sum matrix."""
-    if any(a.row_sums()):
-        raise DomainError("matrix rows must sum to zero (A @ 1 == 0)")
-    return a.cols - rank(a)
 
 
 @dataclass(frozen=True)
@@ -328,83 +202,6 @@ def _formula_count(
     return n
 
 
-def count_components_oracle(polygon: LatticePolygon) -> int:
-    """Independent count: test the two lattice conditions literally.
-
-    Enumerates the intermediate affine lattices through the boundary
-    basepoint and keeps those containing every boundary lattice point
-    (``_holds_boundary``, O(facets) per lattice) and at least one interior
-    point, found by ``_meets_interior``'s row walk (no Pick, no area, no
-    point list).  Its boundary lattice is the literal affine span of all
-    boundary points, not the production profile.
-    """
-    m0 = affine_span(polygon.boundary_points())
-    facets = polygon.facets()
-    count = 0
-    for linear in intermediate_lattices(m0.linear_part()):
-        m_lat = linear.translate(m0.basepoint)
-        if not _holds_boundary(m_lat, facets):
-            continue
-        if _meets_interior(polygon, m_lat):
-            count += 1
-    return count
-
-
-def _holds_boundary(lattice: AffineLattice2, facets: Sequence[Facet]) -> bool:
-    """Whether ``lattice`` contains every boundary lattice point.
-
-    The lattice points of a facet are start + k * u for k = 0..length, with
-    u = vector // length primitive.  A coset holds them all iff it holds
-    start and start + u, since their difference u then lies in its linear
-    part; each facet's end is the next facet's start.  So two membership
-    tests per facet decide what a test of all l boundary points decides.
-    """
-    for f in facets:
-        (x, y), (vx, vy) = f.start, f.vector
-        step = (x + vx // f.length, y + vy // f.length)
-        if not (lattice._has(f.start) and lattice._has(step)):
-            return False
-    return True
-
-
-def _meets_interior(polygon: LatticePolygon, lattice: AffineLattice2) -> bool:
-    """Whether some point of ``lattice`` lies strictly inside ``polygon``.
-
-    Walks the rows y = basepoint_y (mod d2) strictly between the lowest and
-    the highest vertex.  On each row the facet half-planes n.p > n.start
-    cut out an integer x-interval, and one modular step decides whether the
-    row's coset x = r (mod d1) meets it.  O(height / d2 * facets) time and
-    O(facets) memory; it uses neither Pick's theorem nor the area.
-    """
-    (d1, e), (_, d2) = lattice.basis
-    bx, by = lattice.basepoint
-    halfplanes = [
-        (f.normal[0], f.normal[1], f.normal[0] * f.start[0] + f.normal[1] * f.start[1])
-        for f in polygon.facets()
-    ]
-    xs = [v[0] for v in polygon.vertices]
-    ys = [v[1] for v in polygon.vertices]
-    xmin, xmax, ymax = min(xs), max(xs), max(ys)
-    y = min(ys) + 1
-    y += (by - y) % d2
-    while y < ymax:
-        lo, hi = xmin, xmax
-        for a, b, h in halfplanes:
-            c = h - b * y  # on this row the half-plane reads a * x > c
-            if a > 0:
-                lo = max(lo, c // a + 1)
-            elif a < 0:
-                hi = min(hi, -(c // -a) - 1)
-            elif c >= 0:
-                break
-        else:
-            r = (bx + (y - by) // d2 * e) % d1
-            if lo + (r - lo) % d1 <= hi:
-                return True
-        y += d2
-    return False
-
-
 def severi_dimension(polygon: LatticePolygon, genus: int) -> int:
     """Dimension of the genus-g Severi variety: boundary points + g - 1."""
     if genus < 0:
@@ -461,7 +258,7 @@ def analyze(polygon: LatticePolygon) -> SeveriReport:
     classification = polygon.classify_interior_empty(profile.m0)
     components = tuple(_descriptors(profile, classification))
     count = _formula_count(profile, classification)
-    oracle = count_components_oracle(polygon)
+    oracle = oracles.count_components_oracle(polygon)
     if count != oracle:
         raise InvariantViolation(
             f"component count {count} disagrees with the oracle count {oracle}"

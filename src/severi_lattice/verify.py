@@ -13,17 +13,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import severi
-from .corpus import (
-    CorpusSpec,
-    apply_affine_map,
-    enumerate_corpus,
-    random_polygon,
-    random_unimodular_map,
-)
+from .certificates import a_delta, component_signature, owner, width_one_by_rank
+from .corpus import CorpusSpec, enumerate_corpus, random_polygon
 from .errors import DomainError
 from .intmat import IntMat, invariant_factors, minor_gcd
 from .lattices import AffineLattice2, rotate90
-from .polygons import InteriorClassification, LatticePolygon, brute_force_width
+from .oracles import brute_force_width, count_components_oracle
+from .polygons import InteriorClassification, LatticePolygon
 
 __all__ = [
     "CheckOutcome",
@@ -229,13 +225,13 @@ def run_verification(
         )
 
         formula = severi._formula_count(profile, cls_m0)
-        oracle = severi.count_components_oracle(poly)
+        oracle = count_components_oracle(poly)
         counts.record(formula == oracle, lambda: f"{poly!r}: {formula} vs {oracle}")
 
-        a_delta = profile.a_delta
-        fs = invariant_factors(a_delta)
-        g1 = minor_gcd(a_delta, 1)
-        g2 = minor_gcd(a_delta, 2)
+        normals = a_delta(profile)
+        fs = invariant_factors(normals)
+        g1 = minor_gcd(normals, 1)
+        g2 = minor_gcd(normals, 2)
         factors_check.record(
             fs == (1, profile.idx) and g1 == 1 and g2 == profile.idx,
             lambda: f"{poly!r}: snf {fs}, minors ({g1}, {g2}), idx {profile.idx}",
@@ -245,17 +241,19 @@ def run_verification(
             rotate90(profile.m0.linear_part()) == profile.n0, lambda: repr(poly)
         )
 
-        pair = severi.width_one_by_rank(profile)
+        pair = width_one_by_rank(profile)
         w_m0 = poly.lattice_width(profile.m0.linear_part())[0]
         rank_width.record(
             (pair is not None) == (w_m0 == 1),
             lambda: f"{poly!r}: pair {pair}, width {w_m0}",
         )
 
-        z = severi.component_signature(profile)
-        owner = profile.owner
+        z = component_signature(profile)
+        owners = owner(profile)
         blocks_ok = all(
-            z[i] == z[i - 1] for i in range(1, len(owner)) if owner[i] == owner[i - 1]
+            z[i] == z[i - 1]
+            for i in range(1, len(owners))
+            if owners[i] == owners[i - 1]
         )
         signature.record(
             sum(z) == 0 and blocks_ok, lambda: f"{poly!r}: z = {z}"
@@ -272,7 +270,7 @@ def run_verification(
     for _ in range(trials):
         poly = random_polygon(rng, 8)
         formula = severi.count_components(poly)
-        oracle = severi.count_components_oracle(poly)
+        oracle = count_components_oracle(poly)
         random_counts.record(
             formula == oracle, lambda: f"{poly!r}: {formula} vs {oracle}"
         )
@@ -304,11 +302,19 @@ def run_verification(
 def _random_image_in_bounds(
     poly: LatticePolygon, rng: random.Random
 ) -> LatticePolygon:
-    """Apply a random unimodular affine map, resampling if coordinates leave
-    the documented bound."""
+    """Apply a random unimodular affine map v -> U @ v + t, resampling if
+    coordinates leave the documented bound.
+
+    With 16 elementary operations at most, about half the maps U are more
+    than signed permutations, and entries stay small enough that the
+    random polygons (|coordinate| <= 8) seldom leave the bound.
+    """
     while True:
-        umap = random_unimodular_map(rng)
+        a, b, c, d = random_unimodular(2, rng, max_ops=16).entries
+        tx, ty = rng.randint(-5, 5), rng.randint(-5, 5)
         try:
-            return apply_affine_map(umap, poly)
+            return LatticePolygon(
+                [(a * x + b * y + tx, c * x + d * y + ty) for x, y in poly.vertices]
+            )
         except DomainError:
             continue

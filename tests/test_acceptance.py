@@ -7,6 +7,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
 import random
 import time
 
+from severi_lattice.certificates import a_delta, component_signature, width_one_by_rank
 from severi_lattice.corpus import random_polygon
 from severi_lattice.intmat import (
     IntMat,
@@ -18,13 +19,8 @@ from severi_lattice.intmat import (
 )
 from severi_lattice.lattices import Z2
 from severi_lattice.polygons import InteriorClassification, LatticePolygon
-from severi_lattice.severi import (
-    build_profile,
-    component_signature,
-    count_components,
-    count_components_oracle,
-    width_one_by_rank,
-)
+from severi_lattice.oracles import count_components_oracle
+from severi_lattice.severi import build_profile, count_components
 from severi_lattice.verify import _random_image_in_bounds, perturb_homogeneous
 
 SEED = 20260809
@@ -39,7 +35,7 @@ def _report(number: int, label: str, started: float, budget: float) -> None:
 def test_criterion_1_paper_fixed_point():
     started = time.time()
     profile = build_profile(LatticePolygon([(0, 0), (2, 0), (4, 2)]))
-    assert profile.a_delta.to_rows() == [
+    assert a_delta(profile).to_rows() == [
         [0, 0, -1, -1, 1, 1],
         [1, 1, 1, 1, -2, -2],
     ]

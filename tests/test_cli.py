@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -222,6 +223,26 @@ class TestMalformedInput:
         path = tmp_path / "bad.json"
         path.write_bytes(payload)
         assert main(["analyze", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1
+        assert out.err.startswith("error:")
+
+
+class TestHugeResult:
+    """A result too large to print exits 1 with one ``error:`` line."""
+
+    @pytest.mark.parametrize("command", ["snf", "hsnf"])
+    def test_beyond_the_digit_limit(self, tmp_path, capsys, command):
+        # certificate entries of this seeded 60 x 60 matrix (and of its
+        # balanced companion, for hsnf) exceed Python's 4300-digit limit
+        # on printing an integer
+        rng = random.Random(1)
+        rows = [[rng.randint(-9, 9) for _ in range(60)] for _ in range(60)]
+        if command == "hsnf":
+            rows = [row + [-sum(row)] for row in rows]
+        doc = {"rows": len(rows), "cols": len(rows[0]), "entries": rows}
+        assert main([command, write_json(tmp_path / "big.json", doc)]) == 1
         out = capsys.readouterr()
         assert out.out == ""
         assert len(out.err.splitlines()) == 1

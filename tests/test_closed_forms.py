@@ -25,21 +25,21 @@ from math import gcd
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from severi_lattice.certificates import a_delta
 from severi_lattice.corpus import CorpusSpec, convex_hull, iter_corpus
 from severi_lattice.intmat import IntMat, invariant_factors
 from severi_lattice.lattices import AffineLattice2, Z2, affine_span
-from severi_lattice.polygons import (
-    LatticePolygon,
-    _width_of_vertices,
-    brute_force_width,
-)
-from severi_lattice.severi import (
+from severi_lattice.oracles import (
     _holds_boundary,
     _meets_interior,
+    brute_force_width,
+    count_components_oracle,
+)
+from severi_lattice.polygons import LatticePolygon, _width_of_vertices
+from severi_lattice.severi import (
     analyze,
     build_profile,
     count_components,
-    count_components_oracle,
     enumerate_components,
 )
 
@@ -316,7 +316,7 @@ def assert_profile_matches_literal(poly):
     profile = build_profile(poly)
     literal = literal_normal_matrix(poly)
     assert profile.m0 == affine_span(poly.boundary_points())
-    assert profile.a_delta == literal
+    assert a_delta(profile) == literal
     assert profile.l == literal.cols == len(poly.boundary_points())
     assert not any(literal.row_sums())
     assert invariant_factors(literal) == (1, profile.idx)

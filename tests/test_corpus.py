@@ -1,3 +1,5 @@
+import gc
+import math
 import random
 from itertools import combinations
 
@@ -5,6 +7,8 @@ import pytest
 
 from severi_lattice.corpus import (
     CorpusSpec,
+    _angular_directions,
+    _edge_classes,
     convex_hull,
     enumerate_corpus,
     random_polygon,
@@ -89,6 +93,21 @@ class TestEnumeration:
         for poly in enumerate_corpus(CorpusSpec(max_coordinate=2)):
             for x, y in poly.vertices:
                 assert 0 <= x <= 2 and 0 <= y <= 2
+
+    def test_directions_counterclockwise_from_the_x_axis(self):
+        for bound in (1, 3, 6):
+            dirs = _angular_directions(bound)
+            angle = [math.atan2(dy, dx) % (2 * math.pi) for dx, dy in dirs]
+            assert angle == sorted(set(angle)), bound
+
+    def test_edge_classes_leave_no_cyclic_garbage(self):
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(_edge_classes(3)) == 1633
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestConvexHull:

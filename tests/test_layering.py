@@ -1,0 +1,93 @@
+"""Import boundaries between the package's modules, read from the source.
+
+The closed forms and the oracles that check them must share no code, and
+the analyze path must not depend on the normal-form engine.  Each module
+is parsed with ``ast``, so these checks see what the source says, not what
+happens to be loaded.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import severi_lattice
+
+PACKAGE = Path(severi_lattice.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+PRODUCTION = ("lattices", "polygons", "corpus", "severi")
+# Pick's theorem, the area, the Gauss reduction and the production profile
+CLOSED_FORMS = {
+    "interior_count_in",
+    "twice_area",
+    "lattice_width",
+    "_width_of_vertices",
+    "build_profile",
+    "_descriptors",
+    "_formula_count",
+}
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def imported(module: str) -> set[str]:
+    """The package modules that ``module`` imports, relatively or by name."""
+    out: set[str] = set()
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = node.module.split(".") if node.module else []
+            elif node.module and node.module.split(".")[0] == "severi_lattice":
+                base = node.module.split(".")[1:]
+            else:
+                continue
+            if base:
+                out.add(base[0])
+            else:  # from . import oracles, severi
+                out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "severi_lattice" and len(parts) > 1:
+                    out.add(parts[1])
+    return out
+
+
+def named(module: str) -> set[str]:
+    """Every identifier ``module`` uses: names, attributes and imported names."""
+    out: set[str] = set()
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+@pytest.mark.parametrize("module", PRODUCTION)
+def test_production_imports_neither_intmat_nor_certificates(module):
+    assert not imported(module) & {"intmat", "certificates"}
+
+
+def test_only_analyze_cli_and_verify_import_oracles():
+    importers = {m for m in MODULES if "oracles" in imported(m)}
+    assert importers <= {"severi", "cli", "verify"}
+
+
+def test_oracles_import_no_profile_certificate_or_intmat():
+    assert not imported("oracles") & {"severi", "certificates", "intmat"}
+
+
+def test_oracles_name_no_closed_form():
+    assert not named("oracles") & CLOSED_FORMS
+
+
+def test_the_parser_sees_each_import_form():
+    # the checks above are only as good as these two readers
+    assert imported("cli") >= {"oracles", "severi", "corpus", "intmat"}
+    assert imported("severi") >= {"oracles", "lattices", "polygons"}
+    assert {"interior_count_in", "build_profile"} <= named("severi")

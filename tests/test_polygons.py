@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from severi_lattice.corpus import random_polygon
 from severi_lattice.errors import DomainError
 from severi_lattice.lattices import AffineLattice2, Z2, affine_span
+from severi_lattice.oracles import brute_force_width
 from severi_lattice.polygons import (
     COORD_BOUND,
     InteriorClassification,
     LatticePolygon,
-    brute_force_width,
 )
 
 

@@ -6,36 +6,35 @@ import pytest
 
 import severi_lattice.polygons
 import severi_lattice.severi
-from severi_lattice.corpus import (
-    CorpusSpec,
-    apply_affine_map,
-    iter_corpus,
-    random_polygon,
-    random_unimodular_map,
+from severi_lattice.certificates import (
+    a_delta,
+    component_signature,
+    diagonal_rank_matrix,
+    expected_kernel_dimension,
+    owner,
+    width_one_by_rank,
 )
+from severi_lattice.corpus import CorpusSpec, iter_corpus, random_polygon
 from severi_lattice.errors import DomainError
 from severi_lattice.intmat import IntMat, rank
 from severi_lattice.lattices import Z2, affine_span
+from severi_lattice.oracles import count_components_oracle
 from severi_lattice.polygons import InteriorClassification, LatticePolygon
 from severi_lattice.severi import (
     analyze,
     build_profile,
-    component_signature,
     count_components,
-    count_components_oracle,
-    diagonal_rank_matrix,
     divisor_of_monomial,
     enumerate_components,
-    expected_kernel_dimension,
     severi_dimension,
-    width_one_by_rank,
 )
+from severi_lattice.verify import _random_image_in_bounds
 
 
 class TestBuildProfile:
     def test_paper_triangle_matrix(self, paper_triangle):
         profile = build_profile(paper_triangle)
-        assert profile.a_delta.to_rows() == [
+        assert a_delta(profile).to_rows() == [
             [0, 0, -1, -1, 1, 1],
             [1, 1, 1, 1, -2, -2],
         ]
@@ -58,15 +57,15 @@ class TestBuildProfile:
     def test_column_blocks_match_owners(self, diamond2):
         profile = build_profile(diamond2)
         for i in range(profile.l):
-            facet = profile.facets[profile.owner[i]]
+            facet = profile.facets[owner(profile)[i]]
             assert (
-                profile.a_delta.entry(0, i),
-                profile.a_delta.entry(1, i),
+                a_delta(profile).entry(0, i),
+                a_delta(profile).entry(1, i),
             ) == facet.normal
 
     def test_row_sums_vanish(self, corpus2):
         for poly in corpus2:
-            assert not any(build_profile(poly).a_delta.row_sums())
+            assert not any(a_delta(build_profile(poly)).row_sums())
 
 
 class TestDivisorOfMonomial:
@@ -104,7 +103,7 @@ class TestComponentSignature:
             g = gcd(g, v)
         assert g == 1
         for i in range(1, profile.l):
-            if profile.owner[i] == profile.owner[i - 1]:
+            if owner(profile)[i] == owner(profile)[i - 1]:
                 assert z[i] == z[i - 1]
 
 
@@ -157,7 +156,7 @@ class TestRankCriterion:
 
 class TestKernelDimension:
     def test_examples(self, triangle_d2, unit_square):
-        assert expected_kernel_dimension(build_profile(triangle_d2).a_delta) == 4
+        assert expected_kernel_dimension(a_delta(build_profile(triangle_d2))) == 4
         zero = IntMat.zeros(2, 5)
         assert expected_kernel_dimension(zero) == 5
         psq = build_profile(unit_square)
@@ -172,8 +171,8 @@ class TestKernelDimension:
         # dimension l - 2
         for poly in corpus2:
             profile = build_profile(poly)
-            assert rank(profile.a_delta) == 2
-            assert expected_kernel_dimension(profile.a_delta) == profile.l - 2
+            assert rank(a_delta(profile)) == 2
+            assert expected_kernel_dimension(a_delta(profile)) == profile.l - 2
 
 
 class TestComponents:
@@ -238,12 +237,7 @@ class TestCounts:
             poly = random_polygon(rng, 6)
             expected = count_components(poly)
             for _ in range(3):
-                while True:
-                    try:
-                        image = apply_affine_map(random_unimodular_map(rng), poly)
-                        break
-                    except DomainError:
-                        continue
+                image = _random_image_in_bounds(poly, rng)
                 assert count_components(image) == expected
 
 
