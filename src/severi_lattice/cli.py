@@ -26,6 +26,16 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
 EXIT_INVARIANT_VIOLATION = 2
 
+# The input box of snf and hsnf.  Certificate entries grow with the size and
+# the entries of the matrix; at the corner of this box (16 x 16, entries in
+# [-1000, 1000]) the longest entry of a seeded random matrix's certificates
+# had 848 digits over 50 seeds, well under Python's 4300-digit limit on
+# printing an int, and the reduction took under 0.05 s.  Larger input is
+# refused before any reduction runs.
+MATRIX_MAX_ROWS = 16
+MATRIX_MAX_COLS = 16
+MATRIX_MAX_ENTRY = 1000
+
 
 def _dump(data, pretty: bool) -> str:
     try:
@@ -60,7 +70,18 @@ def _load_matrix(path: str) -> IntMat:
     data = _load_json(path)
     if not isinstance(data, dict):
         raise DomainError(f"{path}: matrix JSON must be an object")
-    return IntMat.from_json_dict(data)
+    m = IntMat.from_json_dict(data)
+    if (
+        m.rows > MATRIX_MAX_ROWS
+        or m.cols > MATRIX_MAX_COLS
+        or max(map(abs, m.entries)) > MATRIX_MAX_ENTRY
+    ):
+        raise DomainError(
+            f"{path}: a {m.rows} x {m.cols} matrix is outside the accepted box "
+            f"(at most {MATRIX_MAX_ROWS} x {MATRIX_MAX_COLS}, "
+            f"|entry| <= {MATRIX_MAX_ENTRY})"
+        )
+    return m
 
 
 def _cmd_analyze(args) -> int:

@@ -1,21 +1,29 @@
-"""Exact integer matrices and Smith-type normal forms with certificates.
+"""Exact integer matrices and Smith-type normal forms.
 
 All arithmetic uses Python's arbitrary-precision integers, so every result
 is exact; the overflow failure mode of fixed-width implementations cannot
 occur here.  Values are immutable after construction and all operations are
 pure functions, safe for unsynchronized concurrent use.
 
-The reduction engine picks as pivot a nonzero entry of minimal absolute
-value, first occurrence in column-major order, which keeps intermediate
-entries small and makes every certificate deterministic.
+Two kernels, sharing no code:
+
+- certified (``snf``, ``hsnf``): division rounds that pivot on a nonzero
+  entry of minimal absolute value, first occurrence in column-major order,
+  with every operation mirrored on the unimodular certificates; the pivot
+  rule keeps intermediate entries small and makes every certificate
+  deterministic.
+- certificate-free (``invariant_factors``, ``hsnf_form``): extended-gcd
+  (Bezout) 2 x 2 unimodular steps that diagonalize the matrix, then
+  pairwise ``(gcd, lcm)`` steps that turn the diagonal into a divisor chain.
+  Only the invariant factors come out, so no pivot order needs fixing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DomainError
 
@@ -34,7 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntMat:
     """Dense integer matrix; entries stored row-major as a flat tuple."""
 
@@ -54,6 +62,16 @@ class IntMat:
             if type(e) is not int:
                 raise DomainError(f"matrix entries must be plain ints, got {e!r}")
         object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: tuple[int, ...]) -> "IntMat":
+        """A matrix the library built itself: ``entries`` is already a tuple
+        of ``rows * cols`` plain ints, so no check runs."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", entries)
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMat":
@@ -98,15 +116,9 @@ class IntMat:
         return [list(self.entries[j :: self.cols]) for j in range(self.cols)]
 
     def transpose(self) -> "IntMat":
-        return IntMat(
-            self.cols,
-            self.rows,
-            tuple(
-                self.entries[i * self.cols + j]
-                for j in range(self.cols)
-                for i in range(self.rows)
-            ),
-        )
+        c = self.cols
+        flat = tuple(chain.from_iterable(self.entries[j::c] for j in range(c)))
+        return IntMat._trusted(c, self.rows, flat)
 
     def __matmul__(self, other: "IntMat") -> "IntMat":
         if self.cols != other.rows:
@@ -118,7 +130,7 @@ class IntMat:
         for ra in a:
             for cb in b:
                 flat.append(sum(x * y for x, y in zip(ra, cb)))
-        return IntMat(self.rows, other.cols, tuple(flat))
+        return IntMat._trusted(self.rows, other.cols, tuple(flat))
 
     def mat_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
@@ -132,7 +144,8 @@ class IntMat:
 
     def row_sums(self) -> tuple[int, ...]:
         c = self.cols
-        return tuple(sum(self.entries[i * c : (i + 1) * c]) for i in range(self.rows))
+        e = self.entries
+        return tuple([sum(e[i : i + c]) for i in range(0, len(e), c)])
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -225,16 +238,17 @@ def _smith_reduce(
     cols: list[list[int]],
     s: int,
     l: int,
-    q: Optional[list[list[int]]] = None,
-    p: Optional[list[list[int]]] = None,
+    q: list[list[int]],
+    p: list[list[int]],
 ) -> list[int]:
-    """In-place Smith reduction of a column-major matrix; returns the diagonal.
+    """In-place certified Smith reduction of a column-major matrix; returns
+    the diagonal.
 
-    When certificate accumulators are supplied, the invariant
-    ``q0 @ X == D @ p0`` is maintained throughout: row operations on the
-    working matrix are mirrored on ``q`` and column operations are undone on
-    ``p`` (a column op D -> D*F updates p -> F^-1*p, so q@X == D@p stays
-    exact, with both certificates unimodular by construction).
+    The invariant ``q0 @ X == D @ p0`` is maintained throughout: row
+    operations on the working matrix are mirrored on ``q`` and column
+    operations are undone on ``p`` (a column op D -> D*F updates
+    p -> F^-1*p, so q@X == D@p stays exact, with both certificates
+    unimodular by construction).
     """
     t = 0
     bound = s if s < l else l
@@ -262,13 +276,11 @@ def _smith_reduce(
             break
         if bj != t:
             cols[bj], cols[t] = cols[t], cols[bj]
-            if p is not None:
-                p[bj], p[t] = p[t], p[bj]
+            p[bj], p[t] = p[t], p[bj]
         if bi != t:
             for col in cols:
                 col[bi], col[t] = col[t], col[bi]
-            if q is not None:
-                q[bi], q[t] = q[t], q[bi]
+            q[bi], q[t] = q[t], q[bi]
         while True:
             ct = cols[t]
             piv = ct[t]
@@ -281,8 +293,7 @@ def _smith_reduce(
                     qq = v // piv
                     if qq:
                         cols[j] = cj = [x - qq * y for x, y in zip(cj, ct)]
-                        if p is not None:
-                            p[t] = [x + qq * y for x, y in zip(p[t], p[j])]
+                        p[t] = [x + qq * y for x, y in zip(p[t], p[j])]
                     if cj[t]:
                         dirty = True
             # clear the pivot column with row operations
@@ -294,8 +305,7 @@ def _smith_reduce(
                     if qq:
                         for col in cols:
                             col[i] -= qq * col[t]
-                        if q is not None:
-                            q[i] = [x - qq * y for x, y in zip(q[i], q[t])]
+                        q[i] = [x - qq * y for x, y in zip(q[i], q[t])]
                     if ct[i]:
                         dirty = True
             if not dirty:
@@ -323,13 +333,11 @@ def _smith_reduce(
                         bi, bj = t, j
             if bj != t:
                 cols[bj], cols[t] = cols[t], cols[bj]
-                if p is not None:
-                    p[bj], p[t] = p[t], p[bj]
+                p[bj], p[t] = p[t], p[bj]
             elif bi != t:
                 for col in cols:
                     col[bi], col[t] = col[t], col[bi]
-                if q is not None:
-                    q[bi], q[t] = q[t], q[bi]
+                q[bi], q[t] = q[t], q[bi]
         # the pivot must divide the trailing submatrix, else fold a row in
         piv = cols[t][t]
         retry = False
@@ -340,8 +348,7 @@ def _smith_reduce(
                     if cj[i] % piv:
                         for col in cols:
                             col[t] += col[i]
-                        if q is not None:
-                            q[t] = [x + y for x, y in zip(q[t], q[i])]
+                        q[t] = [x + y for x, y in zip(q[t], q[i])]
                         retry = True
                         break
                 if retry:
@@ -355,8 +362,7 @@ def _smith_reduce(
             diag[i] = -v
             for col in cols:
                 col[i] = -col[i]
-            if q is not None:
-                q[i] = [-x for x in q[i]]
+            q[i] = [-x for x in q[i]]
     return diag
 
 
@@ -372,13 +378,113 @@ def snf(x: IntMat) -> SnfResult:
     q = [[1 if i == j else 0 for j in range(s)] for i in range(s)]
     p = [[1 if i == j else 0 for j in range(l)] for i in range(l)]
     _smith_reduce(cols, s, l, q, p)
-    d = IntMat(s, l, tuple(cols[j][i] for i in range(s) for j in range(l)))
-    return SnfResult(Q=IntMat.from_rows(q), D=d, P=IntMat.from_rows(p))
+    return SnfResult(
+        Q=IntMat._trusted(s, s, tuple(chain.from_iterable(q))),
+        D=IntMat._trusted(s, l, tuple(chain.from_iterable(zip(*cols)))),
+        P=IntMat._trusted(l, l, tuple(chain.from_iterable(p))),
+    )
+
+
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    """``(g, x, y)`` with ``g == gcd(a, b) > 0`` and ``x*a + y*b == g``; b != 0."""
+    g = gcd(a, b)
+    x = pow(a // g, -1, abs(b // g))
+    return g, x, (g - x * a) // b
+
+
+def _invariant_chain(rows: list[list[int]]) -> list[int]:
+    """Invariant factors of the matrix with these rows; consumes ``rows``.
+
+    A tall matrix is transposed first.  Each round pivots on an entry of
+    smallest absolute value, clears the rest of its column and then its
+    row, and drops both.  An entry ``v`` the pivot ``p`` does not divide
+    meets it in one Bezout step: with
+    ``g = x*p + y*v``, the pivot's row (or column) ``u`` and the other one
+    ``w`` go to ``x*u + y*w`` and ``(p/g)*w - (v/g)*u``, a 2 x 2 unimodular
+    map that leaves ``g`` at the pivot and 0 beside it.  A column step
+    refills the pivot column, which is then cleared again; ``|p|`` drops
+    at every Bezout step, so this ends.  A last row's factor is the gcd of
+    its entries.  The diagonal left over is made positive and turned into
+    a divisor chain by pairwise ``(gcd, lcm)`` steps, which keep each
+    prime's exponents and sort them along the chain.
+    """
+    if len(rows) > len(rows[0]):
+        # X and its transpose share their invariant factors; rows cost a
+        # list operation each, columns only a ``del`` per row
+        rows = [list(c) for c in zip(*rows)]
+    diag: list[int] = []
+    while rows:
+        best = bi = bj = 0
+        for i, r in enumerate(rows):
+            for j, v in enumerate(r):
+                if v:
+                    if v < 0:
+                        v = -v
+                    if best == 0 or v < best:
+                        best, bi, bj = v, i, j
+                        if v == 1:
+                            break
+            if best == 1:
+                break
+        if best == 0:
+            break
+        if len(rows) == 1:
+            diag.append(gcd(*rows[0]))
+            break
+        prow = rows.pop(bi)
+        p = prow[bj]
+        while True:
+            # clear the pivot column with row steps
+            for k, r in enumerate(rows):
+                v = r[bj]
+                if v:
+                    if v % p:
+                        g, x, y = _bezout(p, v)
+                        a, b = p // g, v // g
+                        prow, rows[k] = (
+                            [x * c + y * d for c, d in zip(prow, r)],
+                            [a * d - b * c for c, d in zip(prow, r)],
+                        )
+                        p = g
+                    else:
+                        v //= p
+                        rows[k] = [d - v * c for c, d in zip(prow, r)]
+            # the pivot row: entries p divides are cleared by column steps
+            # that change nothing else, as the pivot column is clear
+            if p == 1 or p == -1:
+                break
+            j = next((j for j, v in enumerate(prow) if v % p), -1)
+            if j < 0:
+                break
+            v = prow[j]
+            g, x, y = _bezout(p, v)
+            a, b = p // g, v // g
+            for r in chain(rows, (prow,)):
+                c, d = r[bj], r[j]
+                r[bj], r[j] = x * c + y * d, a * d - b * c
+            p = g
+        diag.append(p)
+        for r in rows:
+            del r[bj]
+    # sign normalization, then the divisor chain
+    diag = [-v if v < 0 else v for v in diag]
+    n = len(diag)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = diag[i], diag[j]
+            if b % a:
+                g = gcd(a, b)
+                diag[i], diag[j] = g, a // g * b
+    return diag
 
 
 def invariant_factors(x: IntMat) -> tuple[int, ...]:
-    """The invariant factors (a_1, ..., a_r) of ``x``; r == rank(x)."""
-    return tuple(_smith_reduce(x.to_cols(), x.rows, x.cols))
+    """The invariant factors (a_1, ..., a_r) of ``x``; r == rank(x).
+
+    Certificate-free: Bezout elimination and a divisor chain, sharing no
+    code with the certified ``snf``.
+    """
+    return tuple(_invariant_chain(x.to_rows()))
 
 
 def rank(x: IntMat) -> int:
@@ -432,10 +538,12 @@ def is_snf(d: IntMat) -> bool:
 
 
 def _erase_first_col(x: IntMat) -> IntMat:
-    return IntMat(
+    c = x.cols
+    e = x.entries
+    return IntMat._trusted(
         x.rows,
-        x.cols - 1,
-        tuple(v for i in range(x.rows) for v in x.row(i)[1:]),
+        c - 1,
+        tuple(chain.from_iterable(e[i + 1 : i + c] for i in range(0, len(e), c))),
     )
 
 
@@ -471,31 +579,38 @@ def hsnf(x: IntMat) -> HsnfResult:
         # zero row sums force x == 0; it is its own (trivial) normal form
         return HsnfResult(Q=IntMat.identity(s), A=x, P=IntMat.identity(1))
     inner = snf(_erase_first_col(x))
-    dp = inner.P.to_rows()
-    u = [1 - sum(r) for r in dp]
-    p_rows = [[1] + [0] * (l - 1)]
-    for i in range(l - 1):
-        p_rows.append([u[i]] + dp[i])
-    a_rows = []
+    p_flat = [1] + [0] * (l - 1)
+    for r in inner.P.to_rows():
+        p_flat.append(1 - sum(r))
+        p_flat.extend(r)
+    a_flat: list[int] = []
     for i in range(s):
         drow = inner.D.row(i)
-        a_rows.append([-sum(drow)] + list(drow))
-    return HsnfResult(Q=inner.Q, A=IntMat.from_rows(a_rows), P=IntMat.from_rows(p_rows))
+        a_flat.append(-sum(drow))
+        a_flat.extend(drow)
+    return HsnfResult(
+        Q=inner.Q,
+        A=IntMat._trusted(s, l, tuple(a_flat)),
+        P=IntMat._trusted(l, l, tuple(p_flat)),
+    )
 
 
 def hsnf_form(x: IntMat) -> IntMat:
     """The homogeneous Smith normal form of ``x`` alone (no certificates).
 
-    Fast path for bulk verification; agrees with ``hsnf(x).A``.
+    Requires zero row sums.  Certificate-free: the invariant factors of the
+    first-column erasure come from the Bezout kernel of
+    ``invariant_factors``, which shares no code with ``hsnf``; the result
+    agrees with ``hsnf(x).A``.
     """
     _require_homogeneous(x)
     s, l = x.rows, x.cols
     if l == 1:
         return x
-    cols = [list(x.col(j)) for j in range(1, l)]
-    diag = _smith_reduce(cols, s, l - 1)
+    e = x.entries
+    diag = _invariant_chain([list(e[i + 1 : i + l]) for i in range(0, s * l, l)])
     flat = [0] * (s * l)
     for i, v in enumerate(diag):
         flat[i * l] = -v
         flat[i * l + i + 1] = v
-    return IntMat(s, l, tuple(flat))
+    return IntMat._trusted(s, l, tuple(flat))

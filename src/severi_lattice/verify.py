@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional
 
 from . import severi
@@ -135,7 +136,7 @@ def perturb_homogeneous(x: IntMat, rng: random.Random, max_ops: int = 20) -> Int
     exactly the elementary factors of GL^h.
     """
     s, l = x.rows, x.cols
-    cols = x.to_cols()
+    rows = x.to_rows()
     gb = rng.getrandbits
     for _ in range(4 + gb(4)):
         bits = gb(24)
@@ -147,13 +148,13 @@ def perturb_homogeneous(x: IntMat, rng: random.Random, max_ops: int = 20) -> Int
                 c = ((bits >> 12) % 6) - 3
                 if c == 0:
                     c = 3
-                for col in cols:
-                    col[i] += c * col[j]
+                rows[i] = [x0 + c * y0 for x0, y0 in zip(rows[i], rows[j])]
         elif kind == 1:
             i = (bits >> 2) % l
             j = (bits >> 7) % l
             if i != j:
-                cols[i], cols[j] = cols[j], cols[i]
+                for row in rows:
+                    row[i], row[j] = row[j], row[i]
         elif kind == 2 and l > 2:
             i = (bits >> 2) % l
             j = (bits >> 7) % l
@@ -162,17 +163,17 @@ def perturb_homogeneous(x: IntMat, rng: random.Random, max_ops: int = 20) -> Int
                 c = ((bits >> 17) % 6) - 3
                 if c == 0:
                     c = 3
-                ci = cols[i]
-                cols[j] = [x0 + c * y0 for x0, y0 in zip(cols[j], ci)]
-                cols[k] = [x0 - c * y0 for x0, y0 in zip(cols[k], ci)]
+                for row in rows:
+                    d = c * row[i]
+                    row[j] += d
+                    row[k] -= d
         elif s > 1:
             i = (bits >> 2) % s
             j = (bits >> 7) % s
             if i != j:
-                for col in cols:
-                    col[i], col[j] = col[j], col[i]
-    flat = tuple(v for row in zip(*cols) for v in row)
-    return IntMat(s, l, flat)
+                rows[i], rows[j] = rows[j], rows[i]
+    # every entry is an int sum of ints: a valid matrix by construction
+    return IntMat._trusted(s, l, tuple(chain.from_iterable(rows)))
 
 
 # -- polygon checks --------------------------------------------------------

@@ -3,8 +3,15 @@ import random
 
 import pytest
 
+import severi_lattice.cli
 import severi_lattice.severi
-from severi_lattice.cli import main
+from severi_lattice.cli import (
+    MATRIX_MAX_COLS,
+    MATRIX_MAX_ENTRY,
+    MATRIX_MAX_ROWS,
+    _dump,
+    main,
+)
 from severi_lattice.errors import DomainError
 from severi_lattice.lattices import AffineLattice2
 
@@ -230,13 +237,14 @@ class TestMalformedInput:
 
 
 class TestHugeResult:
-    """A result too large to print exits 1 with one ``error:`` line."""
+    """A matrix outside the snf/hsnf box, or a result too large to print,
+    exits 1 with one ``error:`` line."""
 
     @pytest.mark.parametrize("command", ["snf", "hsnf"])
     def test_beyond_the_digit_limit(self, tmp_path, capsys, command):
         # certificate entries of this seeded 60 x 60 matrix (and of its
-        # balanced companion, for hsnf) exceed Python's 4300-digit limit
-        # on printing an integer
+        # balanced companion, for hsnf) would exceed Python's 4300-digit
+        # limit on printing an integer; the box now refuses it up front
         rng = random.Random(1)
         rows = [[rng.randint(-9, 9) for _ in range(60)] for _ in range(60)]
         if command == "hsnf":
@@ -247,6 +255,58 @@ class TestHugeResult:
         assert out.out == ""
         assert len(out.err.splitlines()) == 1
         assert out.err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["snf", "hsnf"])
+    @pytest.mark.parametrize(
+        "rows, cols, entry",
+        [
+            (MATRIX_MAX_ROWS + 1, 2, 1),
+            (2, MATRIX_MAX_COLS + 1, 1),
+            (2, 2, MATRIX_MAX_ENTRY + 1),
+        ],
+        ids=["rows", "cols", "entry"],
+    )
+    def test_outside_the_box_before_any_reduction(
+        self, tmp_path, capsys, monkeypatch, command, rows, cols, entry
+    ):
+        def no_reduction(x):
+            raise AssertionError(f"{command} ran on a matrix outside the box")
+
+        monkeypatch.setattr(severi_lattice.cli, command, no_reduction)
+        # zero row sums, so only the box can refuse it
+        grid = [[0] * cols for _ in range(rows)]
+        grid[0][0], grid[0][-1] = entry, -entry
+        doc = {"rows": rows, "cols": cols, "entries": grid}
+        assert main([command, write_json(tmp_path / "out.json", doc)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1
+        assert out.err.startswith("error:") and "box" in out.err
+
+    @pytest.mark.parametrize("command", ["snf", "hsnf"])
+    def test_the_corner_of_the_box_is_accepted(self, tmp_path, capsys, command):
+        # entries of either sign up to the bound, paired so rows sum to zero
+        rng = random.Random(0)
+        rows = []
+        for _ in range(MATRIX_MAX_ROWS):
+            half = [
+                rng.randint(-MATRIX_MAX_ENTRY, MATRIX_MAX_ENTRY)
+                for _ in range(MATRIX_MAX_COLS // 2)
+            ]
+            row = half + [-v for v in half]
+            rng.shuffle(row)
+            rows.append(row)
+        doc = {"rows": len(rows), "cols": len(rows[0]), "entries": rows}
+        assert main([command, write_json(tmp_path / "corner.json", doc)]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert len(json.loads(out.out)) == 3
+
+    def test_dump_maps_the_digit_limit_to_a_domain_error(self):
+        with pytest.raises(DomainError, match="too large to print"):
+            _dump({"D": 10**5000}, False)
+        with pytest.raises(DomainError, match="too large to print"):
+            _dump([10**5000], True)
 
 
 class TestLatticeJson:

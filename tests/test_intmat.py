@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -32,6 +33,37 @@ def int_matrices(draw, max_rows=5, max_cols=6, bound=9):
         st.lists(st.integers(-bound, bound), min_size=r * c, max_size=r * c)
     )
     return IntMat(r, c, tuple(entries))
+
+
+@st.composite
+def kernel_rows(draw, max_rows=7, max_cols=9, bound=10**6):
+    """Rows of a matrix with small or large entries, some rows and columns
+    zeroed, and sometimes one row a signed sum of two others (rank
+    deficient; its entries may reach twice the bound)."""
+    r = draw(st.integers(1, max_rows))
+    c = draw(st.integers(1, max_cols))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-bound, bound))
+    rows = [draw(st.lists(entry, min_size=c, max_size=c)) for _ in range(r)]
+    for i in draw(st.sets(st.integers(0, r - 1), max_size=2)):
+        rows[i] = [0] * c
+    for j in draw(st.sets(st.integers(0, c - 1), max_size=2)):
+        for row in rows:
+            row[j] = 0
+    if r >= 3 and draw(st.booleans()):
+        i, a, b = draw(st.permutations(range(r)))[:3]
+        ka, kb = draw(st.sampled_from((-1, 1))), draw(st.sampled_from((-1, 0, 1)))
+        rows[i] = [ka * x + kb * y for x, y in zip(rows[a], rows[b])]
+    return rows
+
+
+def assert_minor_gcd_products(x, factors):
+    """``factors`` are the invariant factors of ``x`` by the minor-gcd oracle."""
+    prod = 1
+    for k, alpha in enumerate(factors, start=1):
+        prod *= alpha
+        assert minor_gcd(x, k) == prod
+    if len(factors) < min(x.rows, x.cols):
+        assert minor_gcd(x, len(factors) + 1) == 0
 
 
 @st.composite
@@ -75,6 +107,16 @@ class TestIntMat:
         with pytest.raises(DomainError):
             IntMat.from_rows([[1, 2, 3]]).det()
 
+    def test_slotted_and_frozen(self):
+        m = IntMat.from_rows([[1, 2], [3, 4]])
+        assert not hasattr(m, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.rows = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.entries = (0, 0, 0, 0)
+        assert m.transpose().transpose() == m
+        assert hash(m.transpose()) == hash(IntMat.from_rows([[1, 3], [2, 4]]))
+
     def test_json_round_trip(self):
         m = IntMat.from_rows([[1, -2], [0, 7]])
         assert IntMat.from_json_dict(m.to_json_dict()) == m
@@ -115,6 +157,48 @@ class TestSnfExamples:
     def test_rank(self):
         assert rank(IntMat.identity(3)) == 3
         assert rank(IntMat.from_rows([[1, 2], [2, 4]])) == 1
+
+
+class TestCertificateFreeKernel:
+    """``invariant_factors`` and ``hsnf_form`` against the minor-gcd oracle,
+    which shares no code with either kernel."""
+
+    def test_diagonal_becomes_a_divisor_chain(self):
+        assert invariant_factors(IntMat.from_rows([[2, 0], [0, 3]])) == (1, 6)
+        x = IntMat.from_rows([[4, 0, 0], [0, 6, 0], [0, 0, 9]])
+        assert invariant_factors(x) == (1, 6, 36)
+        xh = IntMat.from_rows([[-2, 2, 0], [-3, 0, 3]])
+        assert hsnf_form(xh) == IntMat.from_rows([[-1, 1, 0], [-6, 0, 6]])
+
+    def test_column_step_refills_the_pivot_column(self):
+        # pivot -4, and -6 beside it: the column step leaves 2 at the pivot
+        # and puts a nonzero back under it, which must be cleared again
+        x = IntMat.from_rows([[-6, -4], [5, 4]])
+        assert invariant_factors(x) == (1, 4)
+        xh = IntMat.from_rows([[10, -6, -4], [-9, 5, 4]])
+        assert hsnf_form(xh) == IntMat.from_rows([[-1, 1, 0], [-4, 0, 4]])
+
+    def test_factors_are_positive(self):
+        assert invariant_factors(IntMat.from_rows([[-4]])) == (4,)
+        assert invariant_factors(IntMat.from_rows([[0, -3], [0, 0]])) == (3,)
+        assert invariant_factors(IntMat.from_rows([[-2, 0], [0, -4]])) == (2, 4)
+        assert hsnf_form(IntMat.from_rows([[5, -5]])) == IntMat.from_rows([[-5, 5]])
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_rows())
+    def test_invariant_factors(self, rows):
+        x = IntMat.from_rows(rows)
+        assert_minor_gcd_products(x, invariant_factors(x))
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_rows(max_cols=8))
+    def test_hsnf_form(self, rows):
+        x = IntMat.from_rows([row + [-sum(row)] for row in rows])
+        a = hsnf_form(x)
+        assert a == hsnf(x).A
+        assert is_hsnf(a)
+        superdiagonal = [a.entry(i, i + 1) for i in range(min(x.rows, x.cols - 1))]
+        assert_minor_gcd_products(x, [v for v in superdiagonal if v])
 
 
 class TestMinorGcd:
@@ -191,13 +275,7 @@ class TestSnfProperties:
     @settings(max_examples=100, deadline=None)
     @given(int_matrices(max_rows=4, max_cols=5))
     def test_minor_gcd_oracle(self, x):
-        factors = invariant_factors(x)
-        prod = 1
-        for k, alpha in enumerate(factors, start=1):
-            prod *= alpha
-            assert minor_gcd(x, k) == prod
-        if len(factors) < min(x.rows, x.cols):
-            assert minor_gcd(x, len(factors) + 1) == 0
+        assert_minor_gcd_products(x, invariant_factors(x))
 
 
 class TestHsnfProperties:

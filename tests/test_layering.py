@@ -86,6 +86,40 @@ def test_oracles_name_no_closed_form():
     assert not named("oracles") & CLOSED_FORMS
 
 
+def referrers(name: str) -> set[str]:
+    """``module.function`` for every function whose body names ``name``,
+    and ``module`` alone for a use outside any function."""
+    out: set[str] = set()
+    for module in MODULES:
+        tree = _tree(module)
+        in_functions = set()
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if _names(node, name):
+                        in_functions.add(node)
+                        out.add(f"{module}.{fn.name}")
+        if any(_names(n, name) and n not in in_functions for n in ast.walk(tree)):
+            out.add(module)
+    return out
+
+
+def _names(node: ast.AST, name: str) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id == name
+    if isinstance(node, ast.Attribute):
+        return node.attr == name
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return any(alias.name == name for alias in node.names)
+    return False
+
+
+def test_only_snf_reaches_the_certified_reduction():
+    # invariant_factors and hsnf_form must not fall back on the certified
+    # kernel, or comparing them with snf would compare it with itself
+    assert referrers("_smith_reduce") == {"intmat.snf"}
+
+
 def test_the_parser_sees_each_import_form():
     # the checks above are only as good as these two readers
     assert imported("cli") >= {"oracles", "severi", "corpus", "intmat"}
