@@ -3,8 +3,12 @@
 The exhaustive enumerator walks convex polygons as closed edge paths: a
 convex lattice polygon is, up to translation, exactly a choice of pairwise
 non-parallel edge vectors summing to zero, each a positive multiple of a
-primitive direction, traversed in angular order.  Every translation class
-inside the box is produced exactly once.
+primitive direction, traversed in angular order.  A depth-first walk picks
+each next edge directly (a later direction, then its multiple) and is cut
+as soon as it cannot close inside the box.  Every translation class inside
+the box is produced exactly once, held as one order-preserving integer key
+(its coordinates as digits in base ``bound + 2``), and the keys are sorted
+once and decoded one polygon at a time as the corpus is streamed.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cmp_to_key
+from itertools import accumulate
 from math import gcd
 from typing import Iterator, Optional, Sequence
 
@@ -67,11 +72,31 @@ def _angular_directions(bound: int) -> list[Point]:
     )
 
 
-def _edge_classes(bound: int) -> list[tuple[Point, ...]]:
-    """All convex polygons (as vertex tuples, min corner at the origin)."""
+def _edge_classes(bound: int) -> Iterator[tuple[Point, ...]]:
+    """All convex polygons in the box, as vertex tuples with the minimum
+    corner at the origin, one per translation class, in sorted order.
+
+    A depth-first walk from the origin picks each next edge directly: a
+    direction after the previous edge's in angular order, then a positive
+    multiple of it that keeps the walk's x and y extents inside the box.
+    The walk closes, and is recorded, when its next edge runs straight back
+    to the origin after at least two edges.  The first edge has the
+    smallest angle from (1, 0), so each class is walked exactly once, from
+    its lowest vertex.  A direction is skipped when the origin lies to its
+    right (no convex polygon has such an edge), and a branch is cut when
+    the directions left cannot bring the walk back: by per-suffix
+    reachable displacement ranges, and, once the directions left span less
+    than a half-turn, by the cone they span.
+
+    Each class is held as one integer key: coordinate c is the digit c + 1
+    in base ``bound + 2``, vertex after vertex, x before y, and the digits
+    are padded with zeros to a fixed length.  Integer order is then the
+    order of the vertex tuples, a shorter tuple first where it is a prefix.
+    The keys are sorted once and decoded one class at a time as they are
+    yielded.
+    """
     dirs = _angular_directions(bound)
     n = len(dirs)
-    w = h = bound
     # per-suffix reachable x/y displacement ranges, for pruning
     sufpx = [0] * (n + 1)
     sufnx = [0] * (n + 1)
@@ -79,62 +104,91 @@ def _edge_classes(bound: int) -> list[tuple[Point, ...]]:
     sufny = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         dx, dy = dirs[i]
-        m = min(
-            w // abs(dx) if dx else w,
-            h // abs(dy) if dy else h,
-        )
+        m = bound // max(abs(dx), abs(dy))
         sufpx[i] = sufpx[i + 1] + (dx * m if dx > 0 else 0)
         sufnx[i] = sufnx[i + 1] + (-dx * m if dx < 0 else 0)
         sufpy[i] = sufpy[i + 1] + (dy * m if dy > 0 else 0)
         sufny[i] = sufny[i + 1] + (-dy * m if dy < 0 else 0)
+    lx, ly = dirs[-1]
+    # from direction ``narrow`` on, the directions left span under a half-turn
+    narrow = next(j for j, (dx, dy) in enumerate(dirs) if dx * ly - dy * lx > 0)
 
-    polygons: list[tuple[Point, ...]] = []
-    edges: list[Point] = []
+    # a walk's extents are at most ``bound`` each way, so its edges' |dx| + |dy|
+    # sum to at most 4 * bound; no two share a direction, so it has at most
+    # as many edges as the cheapest directions that fit that sum
+    costs = accumulate(sorted(abs(dx) + abs(dy) for dx, dy in dirs))
+    slots = 1 + sum(1 for total in costs if total <= 4 * bound)  # vertices a walk visits
+    base = bound + 2
+    pair = base * base  # vertex (x, y) is the digit (x + 1) * base + y + 1
+    place = [pair ** (slots - 1 - k) for k in range(slots)]
+    # shift[m]: what moving the first m vertices one step in x adds to a key
+    shift = [base * sum(place[:m]) for m in range(slots + 1)]
+    keys: list[int] = []
 
-    def emit() -> None:
-        x = y = 0
-        pts = []
-        for ex, ey in edges:
-            pts.append((x, y))
-            x += ex
-            y += ey
-        minx = min(px for px, _ in pts)
-        miny = min(py for _, py in pts)
-        polygons.append(tuple((px - minx, py - miny) for px, py in pts))
-
-    def dfs(i: int, sx: int, sy: int, px: int, nx: int, py: int, ny: int) -> None:
-        if sx > sufnx[i] or -sx > sufpx[i] or sy > sufny[i] or -sy > sufpy[i]:
-            return
-        if i == n:
-            if len(edges) >= 3 and sx == 0 and sy == 0:
-                emit()
-            return
-        dfs(i + 1, sx, sy, px, nx, py, ny)
-        dx, dy = dirs[i]
-        mult = 1
-        while True:
-            ex, ey = dx * mult, dy * mult
-            npx = px + ex if ex > 0 else px
-            nnx = nx - ex if ex < 0 else nx
-            npy = py + ey if ey > 0 else py
-            nny = ny - ey if ey < 0 else ny
-            if npx > w or nnx > w or npy > h or nny > h:
+    def walk(i, depth, key, minx, sx, sy, px, nx, py, ny):
+        # the walk is at (sx, sy), its vertex number ``depth``, with x/y
+        # extents px, nx, py, ny; its next edge has direction i or later
+        key += ((sx + 1) * base + sy + 1) * place[depth]
+        if sx < minx:
+            minx = sx
+        for j in range(i, n):
+            # the suffix ranges shrink with j, so once the walk cannot get
+            # back from direction j on, it cannot from any later one
+            if sx > sufnx[j] or -sx > sufpx[j] or sy > sufny[j] or -sy > sufpy[j]:
                 return
-            edges.append((ex, ey))
-            dfs(i + 1, sx + ex, sy + ey, npx, nnx, npy, nny)
-            edges.pop()
-            mult += 1
+            dx, dy = dirs[j]
+            turn = dy * sx - dx * sy  # > 0: the origin is left of this edge
+            if turn < 0:
+                if j >= narrow:
+                    return
+                continue
+            if turn == 0 and (sx or sy):
+                # the only edge along this line that can follow is the
+                # closing one, if the line points back to the origin
+                if depth >= 2 and (dx * sx < 0 or dy * sy < 0):
+                    keys.append(key - minx * shift[depth + 1])
+                continue
+            ex, ey = dx, dy
+            while True:
+                npx = px + ex if ex > 0 else px
+                nnx = nx - ex if ex < 0 else nx
+                npy = py + ey if ey > 0 else py
+                nny = ny - ey if ey < 0 else ny
+                if npx > bound or nnx > bound or npy > bound or nny > bound:
+                    break
+                tx, ty = sx + ex, sy + ey
+                # under a half-turn left, the way back must lie in its cone
+                if j + 1 < narrow or (
+                    j + 1 < n
+                    and dirs[j + 1][1] * tx - dirs[j + 1][0] * ty >= 0
+                    and lx * ty - ly * tx >= 0
+                ):
+                    walk(j + 1, depth + 1, key, minx, tx, ty, npx, nnx, npy, nny)
+                ex += dx
+                ey += dy
 
-    dfs(0, 0, 0, 0, 0, 0, 0)
-    # dfs refers to itself through its closure cell; clearing the cell breaks
-    # that cycle, so the tuple list is freed by reference counting
-    del dfs
-    polygons.sort()
-    return polygons
+    walk(0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+    # walk refers to itself through its closure cell; clearing the cell
+    # breaks that cycle, so its frames are freed by reference counting
+    del walk
+    keys.sort()
+
+    points = {(x + 1) * base + y + 1: (x, y) for x in range(bound + 1) for y in range(bound + 1)}
+    for key in keys:
+        verts = []
+        while key:
+            key, digit = divmod(key, pair)
+            if digit:
+                verts.append(points[digit])
+        verts.reverse()
+        yield tuple(verts)
 
 
 def iter_corpus(spec: CorpusSpec) -> Iterator[LatticePolygon]:
-    """Deterministic stream of corpus polygons (sorted vertex tuples)."""
+    """Deterministic stream of corpus polygons (sorted vertex tuples).
+
+    The enumerator's vertex tuples are counterclockwise, strictly convex
+    and inside the box already, so they skip validation."""
     produced = 0
     bound = spec.max_coordinate
     for verts in _edge_classes(bound):
@@ -153,7 +207,7 @@ def iter_corpus(spec: CorpusSpec) -> Iterator[LatticePolygon]:
             if spec.limit is not None and produced >= spec.limit:
                 return
             produced += 1
-            yield LatticePolygon(placed)
+            yield LatticePolygon._trusted(placed)
 
 
 def enumerate_corpus(spec: CorpusSpec) -> list[LatticePolygon]:

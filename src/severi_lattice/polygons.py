@@ -125,6 +125,18 @@ class LatticePolygon:
         self._collapsed = collapsed
         self._cache: dict = {}
 
+    @classmethod
+    def _trusted(cls, vertices: tuple[Point, ...]) -> "LatticePolygon":
+        """A polygon whose ``vertices`` the library built itself: a tuple of
+        integer pairs, counterclockwise, strictly convex and within
+        ``COORD_BOUND``, which ``_validate`` would return unchanged; no check
+        runs."""
+        poly = object.__new__(cls)
+        poly._vertices = vertices
+        poly._collapsed = ()
+        poly._cache = {}
+        return poly
+
     @property
     def vertices(self) -> tuple[Point, ...]:
         return self._vertices

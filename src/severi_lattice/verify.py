@@ -127,13 +127,14 @@ def random_homogeneous_matrix(
     return IntMat.from_rows(rows)
 
 
-def perturb_homogeneous(x: IntMat, rng: random.Random, max_ops: int = 20) -> IntMat:
+def perturb_homogeneous(x: IntMat, rng: random.Random) -> IntMat:
     """A random point of the GL_s(Z) x GL_l^h(Z) orbit of ``x``.
 
-    Applies elementary operations directly: arbitrary row operations on the
-    left, and on the right only column permutations and paired column
-    operations (add c * col_i to col_j, subtract it from col_k), which are
-    exactly the elementary factors of GL^h.
+    Applies 4 to 19 elementary operations (the count is drawn from ``rng``)
+    directly: arbitrary row operations on the left, and on the right only
+    column permutations and paired column operations (add c * col_i to
+    col_j, subtract it from col_k), which are exactly the elementary
+    factors of GL^h.
     """
     s, l = x.rows, x.cols
     rows = x.to_rows()

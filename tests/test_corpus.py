@@ -11,6 +11,7 @@ from severi_lattice.corpus import (
     _edge_classes,
     convex_hull,
     enumerate_corpus,
+    iter_corpus,
     random_polygon,
 )
 from severi_lattice.errors import DomainError
@@ -63,11 +64,25 @@ class TestEnumeration:
         assert len(polys) == 5
 
     def test_matches_subset_brute_force(self):
-        for bound in (1, 2):
+        # bound 3 walks the 2^16 = 65,536 subsets of the 4 x 4 grid
+        for bound in (1, 2, 3):
             polys = enumerate_corpus(CorpusSpec(max_coordinate=bound))
             got = {canonical(p.vertices) for p in polys}
             assert len(got) == len(polys)  # no duplicates
             assert got == brute_force_classes(bound)
+
+    @pytest.mark.parametrize(
+        "bound, classes", [(1, 5), (2, 119), (3, 1633), (4, 17978), (5, 177967)]
+    )
+    def test_class_counts(self, bound, classes):
+        assert sum(1 for _ in _edge_classes(bound)) == classes
+
+    def test_classes_in_sorted_vertex_order(self):
+        # the integer keys must sort as the vertex tuples do, a shorter
+        # tuple before a longer one it is a prefix of
+        for bound in (3, 4):
+            classes = list(_edge_classes(bound))
+            assert classes == sorted(set(classes))
 
     def test_limit(self):
         polys = enumerate_corpus(CorpusSpec(max_coordinate=2, limit=10))
@@ -104,10 +119,27 @@ class TestEnumeration:
         gc.collect()
         gc.disable()
         try:
-            assert len(_edge_classes(3)) == 1633
+            assert sum(1 for _ in _edge_classes(3)) == 1633
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestTrustedPolygons:
+    """Corpus polygons skip validation; validating them changes nothing."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [CorpusSpec(max_coordinate=4), CorpusSpec(max_coordinate=3, dedup="none")],
+        ids=["max-coord-4", "max-coord-3-dedup-none"],
+    )
+    def test_validation_returns_them_unchanged(self, spec):
+        count = 0
+        for poly in iter_corpus(spec):
+            assert LatticePolygon(poly.vertices) == poly
+            assert poly.collapsed_points == ()
+            count += 1
+        assert count == {4: 17978, 3: 2719}[spec.max_coordinate]
 
 
 class TestConvexHull:

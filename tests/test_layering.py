@@ -120,6 +120,30 @@ def test_only_snf_reaches_the_certified_reduction():
     assert referrers("_smith_reduce") == {"intmat.snf"}
 
 
+def trusted_builders() -> dict[str, set[str]]:
+    """For each receiver of a ``<receiver>._trusted(...)`` call, the modules
+    that make one."""
+    out: dict[str, set[str]] = {}
+    for module in MODULES:
+        for node in ast.walk(_tree(module)):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_trusted"
+            ):
+                receiver = ast.unparse(node.func.value)
+                out.setdefault(receiver, set()).add(module)
+    return out
+
+
+def test_only_the_corpus_builds_unvalidated_polygons():
+    # LatticePolygon._trusted skips every check, so only the enumerator's
+    # own vertex tuples (convex, counterclockwise, in the box) may use it
+    builders = trusted_builders()
+    assert builders.get("LatticePolygon") == {"corpus"}
+    assert set(builders) == {"LatticePolygon", "IntMat"}
+
+
 def test_the_parser_sees_each_import_form():
     # the checks above are only as good as these two readers
     assert imported("cli") >= {"oracles", "severi", "corpus", "intmat"}
