@@ -8,12 +8,13 @@ identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import oracles, severi
+from . import severi
 from .corpus import CorpusSpec, iter_corpus
 from .errors import DomainError, InvariantViolation
 from .intmat import IntMat, hsnf, snf
@@ -86,48 +87,27 @@ def _load_matrix(path: str) -> IntMat:
 
 def _cmd_analyze(args) -> int:
     polygon = _load_polygon(args.file)
-    report = severi.analyze(polygon)  # always dual-checks against the oracle
-    print(_dump(report.to_json_dict(), args.pretty))
+    doc = severi.analyze(polygon).to_json_dict()  # checked against the oracle
+    if args.command == "components":  # the report's descriptors only
+        doc = doc["components"]
+    print(_dump(doc, args.pretty))
     return EXIT_OK
 
 
 def _cmd_count(args) -> int:
     polygon = _load_polygon(args.file)
-    count = severi.count_components(polygon)
-    if args.oracle:
-        oracle = oracles.count_components_oracle(polygon)
-        if oracle != count:
-            raise InvariantViolation(
-                f"component count {count} disagrees with the oracle count {oracle}"
-            )
-    print(count)
+    if args.oracle:  # analyze checks its count against the oracle
+        print(severi.analyze(polygon).component_count)
+    else:
+        print(severi.count_components(polygon))
     return EXIT_OK
 
 
-def _cmd_components(args) -> int:
-    polygon = _load_polygon(args.file)
-    report = severi.analyze(polygon)
-    print(_dump([c.to_json_dict() for c in report.components], args.pretty))
-    return EXIT_OK
-
-
-def _cmd_snf(args) -> int:
-    res = snf(_load_matrix(args.file))
+def _cmd_normal_form(args) -> int:
+    res = args.normal_form(_load_matrix(args.file))
+    # the result's matrices in field order: Q, D, P or Q, A, P
     out = {
-        "Q": res.Q.to_json_dict(),
-        "D": res.D.to_json_dict(),
-        "P": res.P.to_json_dict(),
-    }
-    print(_dump(out, args.pretty))
-    return EXIT_OK
-
-
-def _cmd_hsnf(args) -> int:
-    res = hsnf(_load_matrix(args.file))
-    out = {
-        "Q": res.Q.to_json_dict(),
-        "A": res.A.to_json_dict(),
-        "P": res.P.to_json_dict(),
+        f.name: getattr(res, f.name).to_json_dict() for f in dataclasses.fields(res)
     }
     print(_dump(out, args.pretty))
     return EXIT_OK
@@ -186,17 +166,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("components", help="component descriptors only")
     p.add_argument("file", help="polygon JSON file")
     add_pretty(p)
-    p.set_defaults(func=_cmd_components)
+    p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("snf", help="Smith normal form with certificates")
     p.add_argument("file", help="matrix JSON file")
     add_pretty(p)
-    p.set_defaults(func=_cmd_snf)
+    p.set_defaults(func=_cmd_normal_form, normal_form=snf)
 
     p = sub.add_parser("hsnf", help="homogeneous Smith normal form")
     p.add_argument("file", help="matrix JSON file (zero row sums)")
     add_pretty(p)
-    p.set_defaults(func=_cmd_hsnf)
+    p.set_defaults(func=_cmd_normal_form, normal_form=hsnf)
 
     p = sub.add_parser("corpus", help="enumerate box polygons as JSON lines")
     p.add_argument("--max-coord", type=int, required=True)

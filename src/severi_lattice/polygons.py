@@ -82,13 +82,6 @@ class AffineNormalization:
             raise DomainError(f"point {tuple(point)} is not in the lattice")
         return (nx // self.divisor, ny // self.divisor)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "adj": [list(self.adj[0]), list(self.adj[1])],
-            "divisor": self.divisor,
-            "offset": list(self.offset),
-        }
-
 
 def _chart(lattice: AffineLattice2, offset: Point) -> AffineNormalization:
     """The chart onto the basis frame of ``lattice``, with origin ``offset``."""
@@ -302,17 +295,18 @@ class LatticePolygon:
         Returns ``(width, direction)``; the direction is a primitive dual
         vector in the normalized frame of ``lattice``, sign-normalized to
         have its first nonzero coordinate positive, ties broken by picking
-        the lexicographically smallest minimizer.  A width that
-        ``classify_interior_empty`` reduced for this lattice is read from the
-        polygon's cache, so ``analyze`` reduces M0's width once.
+        the lexicographically smallest minimizer.  Cached per lattice, so
+        ``analyze`` reduces M0's width once.
         """
         if not lattice.is_linear:
             raise DomainError("lattice_width expects a linear lattice")
-        cached = self._cache.get(("width", lattice))
-        if cached is not None:
-            return cached
-        chart = _chart(lattice, self._vertices[0])
-        return _width_of_vertices([chart.apply(v) for v in self._vertices])
+        key = ("width", lattice)
+        if key not in self._cache:
+            chart = _chart(lattice, self._vertices[0])
+            self._cache[key] = _width_of_vertices(
+                [chart.apply(v) for v in self._vertices]
+            )
+        return self._cache[key]
 
     def classify_interior_empty(
         self, lattice: AffineLattice2
@@ -333,22 +327,13 @@ class LatticePolygon:
         """
         if self.interior_count_in(lattice):
             return InteriorClassification.NON_EMPTY_INTERIOR
-        linear = lattice.linear_part()
-        reduced = self.lattice_width(linear)
-        # analyze reports this width next; only this rare path stores a
-        # width, so polygons that stay alive (as in verify) stay small
-        self._cache[("width", linear)] = reduced
-        if reduced[0] == 1:
+        if self.lattice_width(lattice.linear_part())[0] == 1:
             return InteriorClassification.WIDTH_ONE
-        facets = self.facets()
         norm, _ = self.normalize_to_lattice(lattice)
         side_lengths = [f.length for f in norm.facets()]
         boundary_in = [p for p in self.boundary_points() if lattice.contains(p)]
-        ok = (
-            len(facets) == 3
-            and side_lengths == [2, 2, 2]
-            and affine_span(boundary_in) == lattice
-        )
+        # [2, 2, 2] holds only for a triangle with sides of length two in lattice
+        ok = side_lengths == [2, 2, 2] and affine_span(boundary_in) == lattice
         if not ok:
             raise InvariantViolation(
                 "empty interior but neither width one nor twice a primitive "

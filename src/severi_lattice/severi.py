@@ -1,11 +1,11 @@
 """Component counting for genus-one Severi varieties of toric surfaces.
 
 Pipeline: from a convex lattice polygon, build the boundary profile (the
-facets with their primitive inner normals and lengths), derive the normal
-lattice and its index, and enumerate one component descriptor per
-intermediate lattice.  The number of irreducible components equals the
-number of intermediate affine lattices whose interior point count is
-positive.
+facets with their primitive inner normals and lengths), turn the boundary
+lattice a quarter to get the normal lattice, and enumerate one component
+descriptor per divisor d of its index.  The number of irreducible
+components is the number of contributing descriptors: the intermediate
+affine lattices whose interior point count is positive.
 
 Production path (``enumerate_components``, ``count_components``, the
 classification): the profile is O(facets); the lattices come from closed
@@ -13,11 +13,11 @@ forms on their canonical triangles, O(1) each; interior counts come from
 Pick's theorem in each lattice, O(vertices) per lattice, and the lattice
 width from Gauss reduction, so no work grows with the polygon's area or
 its boundary length.  ``analyze`` builds the profile once and classifies
-M0 once, derives both the descriptors and the divisor-formula count from
-them, and checks the count against ``oracles.count_components_oracle``,
-which shares no formula with this module.  The per-point normal matrix
-and the certificates read from it live in ``certificates``; this module
-imports no ``intmat``.
+M0 once, counts the contributing descriptors, and checks that count against
+the divisor formula and ``oracles.count_components_oracle``, which shares
+no formula with this module.  The per-point normal matrix and the
+certificates read from it live in ``certificates``; this module imports no
+``intmat``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .lattices import (
     AffineLattice2,
     divisors,
     intermediate_lattices,
-    lattice_index,
     rotate90,
 )
 from .polygons import Facet, InteriorClassification, LatticePolygon
@@ -74,16 +73,16 @@ class BoundaryProfile:
 
 
 def build_profile(polygon: LatticePolygon) -> BoundaryProfile:
-    """Assemble the boundary profile and check its structural invariants.
+    """Assemble the boundary profile and check that the normals close up.
 
     O(facets), from facet data alone: ``m0`` is the first vertex plus the
     span of the primitive edge vectors (every boundary point is a vertex
     plus multiples of them, and each is a difference of two boundary
     points); the normals close up when ``sum l_j n_j == 0``; and ``n0`` is
-    the quarter turn of ``m0``'s linear part.  The invariant factors of the
-    normal matrix are (1, idx) by construction: each primitive normal has
-    entry gcd 1, and the gcd of the 2 x 2 minors is the index of the
-    normals' span.  The verify battery checks them on the 2 x l matrix.
+    the quarter turn of ``m0``'s linear part, since each primitive inner
+    normal is the quarter turn of its primitive edge vector.  The verify
+    battery checks ``n0`` against the span of the normals, and the
+    invariant factors (1, idx) of the 2 x l normal matrix.
     """
     facets = polygon.facets()
     if sum(f.length * f.normal[0] for f in facets) or sum(
@@ -94,11 +93,7 @@ def build_profile(polygon: LatticePolygon) -> BoundaryProfile:
         polygon.vertices[0],
         [(f.vector[0] // f.length, f.vector[1] // f.length) for f in facets],
     )
-    n0 = AffineLattice2.linear_from_generators([f.normal for f in facets])
-    if rotate90(m0.linear_part()) != n0:
-        raise InvariantViolation(
-            "boundary lattice and normal lattice are not rotation dual"
-        )
+    n0 = rotate90(m0.linear_part())
     return BoundaryProfile(
         polygon=polygon, facets=facets, m0=m0, n0=n0, idx=n0.index_in_z2
     )
@@ -170,8 +165,8 @@ def _descriptors(
     width_one = classification is InteriorClassification.WIDTH_ONE
     twice_primitive = classification is InteriorClassification.TWICE_PRIMITIVE_TRIANGLE
     out: list[ComponentDescriptor] = []
-    for n_lat in intermediate_lattices(profile.n0):
-        d = lattice_index(profile.n0, n_lat)
+    # intermediate_lattices is sorted by [N : n0], as divisors lists each d
+    for d, n_lat in zip(divisors(profile.idx), intermediate_lattices(profile.n0)):
         m_lat = rotate90(n_lat).translate(profile.m0.basepoint)
         empty = d == 1 and width_one
         excluded = d == 1 and twice_primitive
@@ -188,7 +183,6 @@ def _descriptors(
                 contributes=not (empty or excluded),
             )
         )
-    out.sort(key=lambda c: c.d)
     return out
 
 
@@ -203,10 +197,10 @@ def _formula_count(
 
 
 def severi_dimension(polygon: LatticePolygon, genus: int) -> int:
-    """Dimension of the genus-g Severi variety: boundary points + g - 1."""
+    """Dimension of the genus-g Severi variety: l + g - 1, l the facet lengths' sum."""
     if genus < 0:
         raise DomainError("genus must be nonnegative")
-    return len(polygon.boundary_points()) + genus - 1
+    return sum(f.length for f in polygon.facets()) + genus - 1
 
 
 @dataclass(frozen=True)
@@ -248,25 +242,26 @@ class SeveriReport:
 
 
 def analyze(polygon: LatticePolygon) -> SeveriReport:
-    """Full report; asserts the formula count against the brute-force oracle.
+    """Full report; its count is checked against the formula and the oracle.
 
-    One pass: the boundary profile is built once and M0 classified once,
-    and the descriptors and the divisor-formula count both derive from
-    them.  The oracle builds its own boundary lattice from the points.
+    One pass: the boundary profile is built once and M0 classified once; the
+    count is the number of contributing descriptors, and must equal the
+    divisor-formula count and the brute-force oracle count.  The oracle
+    builds its own boundary lattice from the points.
     """
     profile = build_profile(polygon)
     classification = polygon.classify_interior_empty(profile.m0)
     components = tuple(_descriptors(profile, classification))
-    count = _formula_count(profile, classification)
+    count = sum(1 for c in components if c.contributes)
+    formula = _formula_count(profile, classification)
+    if count != formula:
+        raise InvariantViolation(
+            f"contributing descriptors {count} != component count {formula}"
+        )
     oracle = oracles.count_components_oracle(polygon)
     if count != oracle:
         raise InvariantViolation(
             f"component count {count} disagrees with the oracle count {oracle}"
-        )
-    contributing = sum(1 for c in components if c.contributes)
-    if contributing != count:
-        raise InvariantViolation(
-            f"contributing descriptors {contributing} != component count {count}"
         )
     width, direction = polygon.lattice_width(profile.m0.linear_part())
     return SeveriReport(
@@ -275,7 +270,7 @@ def analyze(polygon: LatticePolygon) -> SeveriReport:
         severi_dim=severi_dimension(polygon, 1),
         facets=profile.facets,
         idx=profile.idx,
-        divisor_list=tuple(divisors(profile.idx)),
+        divisor_list=tuple(c.d for c in components),
         m0=profile.m0,
         n0=profile.n0,
         width_m0=width,

@@ -18,7 +18,7 @@ from .certificates import a_delta, component_signature, owner, width_one_by_rank
 from .corpus import CorpusSpec, enumerate_corpus, random_polygon
 from .errors import DomainError
 from .intmat import IntMat, invariant_factors, minor_gcd
-from .lattices import AffineLattice2, rotate90
+from .lattices import Z2, AffineLattice2
 from .oracles import brute_force_width, count_components_oracle
 from .polygons import InteriorClassification, LatticePolygon
 
@@ -179,12 +179,12 @@ def perturb_homogeneous(x: IntMat, rng: random.Random) -> IntMat:
 
 # -- polygon checks --------------------------------------------------------
 
+# sup-norm of the direction box that brute_force_width searches
+_WIDTH_ORACLE_SUP_NORM = 25
+
 
 def run_verification(
-    max_coord: int = 4,
-    trials: int = 100,
-    seed: int = 0,
-    width_oracle_sup_norm: int = 25,
+    max_coord: int = 4, trials: int = 100, seed: int = 0
 ) -> VerificationReport:
     """Run the full battery over the exhaustive corpus plus random trials.
 
@@ -212,15 +212,15 @@ def run_verification(
         corpus[i] = None
         profile = severi.build_profile(poly)
         cls_m0 = poly.classify_interior_empty(profile.m0)
-        pick_z2.record(poly.verify_pick(AffineLattice2.standard()), lambda: repr(poly))
+        pick_z2.record(poly.verify_pick(Z2), lambda: repr(poly))
         pick_m0.record(poly.verify_pick(profile.m0), lambda: repr(poly))
 
-        w_alg = poly.lattice_width(AffineLattice2.standard())
-        w_ref = brute_force_width(poly, width_oracle_sup_norm)
+        w_alg = poly.lattice_width(Z2)
+        w_ref = brute_force_width(poly, _WIDTH_ORACLE_SUP_NORM)
         width_oracle.record(w_alg == w_ref, lambda: f"{poly!r}: {w_alg} vs {w_ref}")
 
         empty = not poly.interior_points()
-        cls = poly.classify_interior_empty(AffineLattice2.standard())
+        cls = poly.classify_interior_empty(Z2)
         lemma.record(
             empty == (cls is not InteriorClassification.NON_EMPTY_INTERIOR),
             lambda: f"{poly!r}: interior empty={empty} classified {cls}",
@@ -239,9 +239,10 @@ def run_verification(
             lambda: f"{poly!r}: snf {fs}, minors ({g1}, {g2}), idx {profile.idx}",
         )
 
-        rotation.record(
-            rotate90(profile.m0.linear_part()) == profile.n0, lambda: repr(poly)
+        n_span = AffineLattice2.linear_from_generators(
+            [f.normal for f in profile.facets]
         )
+        rotation.record(profile.n0 == n_span, lambda: repr(poly))
 
         pair = width_one_by_rank(profile)
         w_m0 = poly.lattice_width(profile.m0.linear_part())[0]

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import severi_lattice.cli
+import severi_lattice.oracles
 import severi_lattice.severi
 from severi_lattice.cli import (
     MATRIX_MAX_COLS,
@@ -107,6 +108,20 @@ class TestCount:
         assert main(["count", square_file]) == 0
         assert capsys.readouterr().out.strip() == "0"
         assert main(["count", "--oracle", diamond2_file]) == 0
+        assert capsys.readouterr().out.strip() == "2"
+
+    def test_oracle_disagreement_exits_2(self, diamond2_file, capsys, monkeypatch):
+        monkeypatch.setattr(
+            severi_lattice.oracles, "count_components_oracle", lambda poly: 99
+        )
+        assert main(["count", "--oracle", diamond2_file]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        lines = out.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("internal invariant violation:")
+        # without --oracle the formula count stands alone
+        assert main(["count", diamond2_file]) == 0
         assert capsys.readouterr().out.strip() == "2"
 
 

@@ -75,7 +75,7 @@ def test_production_imports_neither_intmat_nor_certificates(module):
 
 def test_only_analyze_cli_and_verify_import_oracles():
     importers = {m for m in MODULES if "oracles" in imported(m)}
-    assert importers <= {"severi", "cli", "verify"}
+    assert importers <= {"severi", "verify"}
 
 
 def test_oracles_import_no_profile_certificate_or_intmat():
@@ -146,6 +146,6 @@ def test_only_the_corpus_builds_unvalidated_polygons():
 
 def test_the_parser_sees_each_import_form():
     # the checks above are only as good as these two readers
-    assert imported("cli") >= {"oracles", "severi", "corpus", "intmat"}
+    assert imported("cli") >= {"severi", "corpus", "intmat"}
     assert imported("severi") >= {"oracles", "lattices", "polygons"}
     assert {"interior_count_in", "build_profile"} <= named("severi")

@@ -15,9 +15,15 @@ from severi_lattice.certificates import (
     width_one_by_rank,
 )
 from severi_lattice.corpus import CorpusSpec, iter_corpus, random_polygon
-from severi_lattice.errors import DomainError
+from severi_lattice.errors import DomainError, InvariantViolation
 from severi_lattice.intmat import IntMat, rank
-from severi_lattice.lattices import Z2, affine_span
+from severi_lattice.lattices import (
+    Z2,
+    AffineLattice2,
+    affine_span,
+    divisors,
+    lattice_index,
+)
 from severi_lattice.oracles import count_components_oracle
 from severi_lattice.polygons import InteriorClassification, LatticePolygon
 from severi_lattice.severi import (
@@ -66,6 +72,12 @@ class TestBuildProfile:
     def test_row_sums_vanish(self, corpus2):
         for poly in corpus2:
             assert not any(a_delta(build_profile(poly)).row_sums())
+
+    def test_n0_is_the_span_of_the_normals(self, corpus2):
+        for poly in corpus2:
+            profile = build_profile(poly)
+            normals = [f.normal for f in profile.facets]
+            assert profile.n0 == AffineLattice2.linear_from_generators(normals)
 
 
 class TestDivisorOfMonomial:
@@ -249,6 +261,16 @@ class TestDimension:
         with pytest.raises(DomainError):
             severi_dimension(unit_square, -1)
 
+    def test_reads_facet_lengths_not_boundary_points(self, monkeypatch):
+        def no_scan(polygon):
+            raise AssertionError("boundary points were listed")
+
+        monkeypatch.setattr(LatticePolygon, "boundary_points", no_scan)
+        poly = LatticePolygon([(-10**4, -10**4), (10**4, -10**4), (0, 10**4)])
+        l = sum(f.length for f in poly.facets())
+        assert l == 4 * 10**4
+        assert severi_dimension(poly, 1) == l
+
 
 class TestAnalyze:
     def test_d2_report(self, triangle_d2):
@@ -331,6 +353,25 @@ class TestSinglePass:
             report = analyze(LatticePolygon(poly.vertices))
             assert report.classification_m0 is cls
             assert calls == {"reduce": 1}
+
+    def test_descriptors_follow_the_divisors(self):
+        for poly in iter_corpus(CorpusSpec(max_coordinate=3)):
+            report = analyze(poly)
+            assert report.divisor_list == tuple(divisors(report.idx))
+            for c in report.components:
+                assert c.d == lattice_index(report.n0, c.N)
+                assert c.index_in_z2 == c.N.index_in_z2
+            assert report.component_count == sum(
+                c.contributes for c in report.components
+            )
+
+    def test_wrong_formula_count_is_caught(self, monkeypatch, diamond2):
+        formula = severi_lattice.severi._formula_count
+        monkeypatch.setattr(
+            severi_lattice.severi, "_formula_count", lambda *a: formula(*a) + 1
+        )
+        with pytest.raises(InvariantViolation):
+            analyze(diamond2)
 
     def test_public_helpers_agree_with_analyze(self):
         for poly in iter_corpus(CorpusSpec(max_coordinate=3)):

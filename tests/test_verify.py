@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -79,6 +80,21 @@ class TestOnePass:
         assert not report.ok
         check = self._check(report, "count formula vs oracle")
         assert check.passed == 0 and check.failed > 0
+
+    def test_wrong_n0_fails_the_rotation_check(self, monkeypatch):
+        # N0 is the quarter turn of M0 by construction; the battery compares
+        # it with the span of the normals, which a wrong N0 cannot match
+        build = severi.build_profile
+        monkeypatch.setattr(
+            severi,
+            "build_profile",
+            lambda poly: dataclasses.replace(build(poly), n0=Z2),
+        )
+        report = run_verification(max_coord=2, trials=0)
+        assert not report.ok
+        check = self._check(report, "rotation duality M0 <-> N0")
+        # only the polygons whose N0 really is Z^2 still pass
+        assert check.passed > 0 and check.failed > 0 and check.first_failure
 
 
 def test_random_unimodular_is_unimodular():
