@@ -8,8 +8,6 @@ the one polygon-side module that imports ``intmat``.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .errors import DomainError, InvariantViolation
 from .intmat import IntMat, hsnf, rank
 from .severi import BoundaryProfile
@@ -85,7 +83,7 @@ def diagonal_rank_matrix(profile: BoundaryProfile, i1: int, i2: int) -> IntMat:
     return IntMat.from_rows(rows)
 
 
-def width_one_by_rank(profile: BoundaryProfile) -> Optional[tuple[int, int]]:
+def width_one_by_rank(profile: BoundaryProfile) -> tuple[int, int] | None:
     """First pair (i1, i2) with rank of the adjoined matrix still two, if any.
 
     Such a pair exists iff the polygon has width one in the boundary

@@ -8,11 +8,10 @@ identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import os
 import sys
-from pathlib import Path
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from . import severi
 from .corpus import CorpusSpec, iter_corpus
@@ -106,26 +105,29 @@ def _cmd_count(args) -> int:
 def _cmd_normal_form(args) -> int:
     res = args.normal_form(_load_matrix(args.file))
     # the result's matrices in field order: Q, D, P or Q, A, P
-    out = {
-        f.name: getattr(res, f.name).to_json_dict() for f in dataclasses.fields(res)
-    }
+    out = {name: getattr(res, name).to_json_dict() for name in res.__slots__}
     print(_dump(out, args.pretty))
     return EXIT_OK
 
 
 def _cmd_corpus(args) -> int:
-    spec = CorpusSpec(
-        max_coordinate=args.max_coord, dedup=args.dedup, limit=args.limit
+    spec = CorpusSpec(args.max_coord, args.dedup, args.limit)
+    # compact JSON lines, as _dump writes them, without building the lists
+    docs = (
+        '{"vertices":[' + ",".join(f"[{x},{y}]" for x, y in poly.vertices) + "]}\n"
+        for poly in iter_corpus(spec)
     )
-    out_dir: Optional[Path] = Path(args.out) if args.out else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    for i, poly in enumerate(iter_corpus(spec)):
-        doc = _dump({"vertices": [list(v) for v in poly.vertices]}, False)
-        if out_dir is None:
-            print(doc)
-        else:
-            (out_dir / f"polygon_{i:06d}.json").write_text(doc + "\n", encoding="utf-8")
+    if not args.out:
+        sys.stdout.writelines(docs)
+        return EXIT_OK
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        for i, doc in enumerate(docs):
+            path = os.path.join(args.out, f"polygon_{i:06d}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(doc)
+    except OSError as exc:
+        raise DomainError(f"cannot write to {args.out}: {exc}") from exc
     return EXIT_OK
 
 
@@ -194,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

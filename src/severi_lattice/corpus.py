@@ -14,12 +14,12 @@ once and decoded one polygon at a time as the corpus is streamed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from functools import cmp_to_key
 from itertools import accumulate
 from math import gcd
-from typing import Iterator, Optional, Sequence
 
+from ._record import Record
 from .errors import DomainError
 from .polygons import LatticePolygon, _angle_less
 
@@ -37,26 +37,29 @@ Point = tuple[int, int]
 MAX_EXHAUSTIVE_COORD = 6  # desk-scale bound for exhaustive enumeration
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
+class CorpusSpec(Record):
     """Parameters of an exhaustive corpus run."""
 
-    max_coordinate: int
-    dedup: str = "translation"  # or "none": every placement inside the box
-    limit: Optional[int] = None
+    # dedup: "translation" (one per class) or "none" (every placement in the box)
+    __slots__ = ("max_coordinate", "dedup", "limit")
 
-    def __post_init__(self) -> None:
-        if self.max_coordinate < 1:
+    def __init__(
+        self, max_coordinate: int, dedup: str = "translation", limit: int | None = None
+    ) -> None:
+        if max_coordinate < 1:
             raise DomainError("max_coordinate must be positive")
-        if self.max_coordinate > MAX_EXHAUSTIVE_COORD:
+        if max_coordinate > MAX_EXHAUSTIVE_COORD:
             raise DomainError(
                 f"exhaustive enumeration is bounded at max_coordinate <= "
                 f"{MAX_EXHAUSTIVE_COORD}"
             )
-        if self.dedup not in ("translation", "none"):
-            raise DomainError(f"unknown dedup mode {self.dedup!r}")
-        if self.limit is not None and self.limit < 0:
+        if dedup not in ("translation", "none"):
+            raise DomainError(f"unknown dedup mode {dedup!r}")
+        if limit is not None and limit < 0:
             raise DomainError("limit must be nonnegative")
+        object.__setattr__(self, "max_coordinate", max_coordinate)
+        object.__setattr__(self, "dedup", dedup)
+        object.__setattr__(self, "limit", limit)
 
 
 def _angular_directions(bound: int) -> list[Point]:

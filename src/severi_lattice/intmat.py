@@ -20,11 +20,11 @@ Two kernels, sharing no code:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import chain, combinations
 from math import gcd
-from typing import Sequence
 
+from ._record import Record
 from .errors import DomainError
 
 __all__ = [
@@ -42,25 +42,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class IntMat:
+class IntMat(Record):
     """Dense integer matrix; entries stored row-major as a flat tuple."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]) -> None:
+        if rows < 1 or cols < 1:
             raise DomainError("matrix needs at least one row and one column")
-        entries = tuple(self.entries)
-        if len(entries) != self.rows * self.cols:
-            raise DomainError(
-                f"expected {self.rows * self.cols} entries, got {len(entries)}"
-            )
+        entries = tuple(entries)
+        if len(entries) != rows * cols:
+            raise DomainError(f"expected {rows * cols} entries, got {len(entries)}")
         for e in entries:
             if type(e) is not int:
                 raise DomainError(f"matrix entries must be plain ints, got {e!r}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
 
     @classmethod
@@ -179,13 +176,15 @@ class IntMat:
         return "[" + "; ".join(" ".join(str(v) for v in r) for r in rows) + "]"
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(Record):
     """Certified Smith normal form: Q @ X == D @ P with Q, P unimodular."""
 
-    Q: IntMat
-    D: IntMat
-    P: IntMat
+    __slots__ = ("Q", "D", "P")
+
+    def __init__(self, Q: IntMat, D: IntMat, P: IntMat) -> None:
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "P", P)
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(
@@ -193,13 +192,15 @@ class SnfResult:
         )
 
 
-@dataclass(frozen=True)
-class HsnfResult:
+class HsnfResult(Record):
     """Certified homogeneous Smith normal form: Q @ X == A @ P, P @ 1 == 1."""
 
-    Q: IntMat
-    A: IntMat
-    P: IntMat
+    __slots__ = ("Q", "A", "P")
+
+    def __init__(self, Q: IntMat, A: IntMat, P: IntMat) -> None:
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "P", P)
 
     def superdiagonal(self) -> tuple[int, ...]:
         return tuple(

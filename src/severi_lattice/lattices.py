@@ -24,10 +24,10 @@ construction and skip both that check and the constructor's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from math import gcd
-from typing import Iterable, Sequence
 
+from ._record import Record
 from .errors import DomainError
 
 __all__ = [
@@ -98,20 +98,22 @@ def _canonical(point: Point, d1: int, e: int, d2: int) -> "AffineLattice2":
     return lat
 
 
-@dataclass(frozen=True)
-class AffineLattice2:
+class AffineLattice2(Record):
     """Affine sublattice of Z^2 in canonical triangular form."""
 
-    basepoint: Point
-    basis: tuple[tuple[int, int], tuple[int, int]]  # rows of [[d1, e], [0, d2]]
+    __slots__ = ("basepoint", "basis")  # basis: rows of [[d1, e], [0, d2]]
 
-    def __post_init__(self) -> None:
-        (d1, e), (z, d2) = self.basis
+    def __init__(
+        self, basepoint: Point, basis: tuple[tuple[int, int], tuple[int, int]]
+    ) -> None:
+        (d1, e), (z, d2) = basis
         if z != 0 or d1 <= 0 or d2 <= 0 or not 0 <= e < d1:
-            raise DomainError(f"basis {self.basis} is not in canonical form")
-        bx, by = self.basepoint
+            raise DomainError(f"basis {basis} is not in canonical form")
+        bx, by = basepoint
         if not (0 <= by < d2 and 0 <= bx < d1):
-            raise DomainError(f"basepoint {self.basepoint} is not reduced")
+            raise DomainError(f"basepoint {basepoint} is not reduced")
+        object.__setattr__(self, "basepoint", basepoint)
+        object.__setattr__(self, "basis", basis)
 
     @classmethod
     def standard(cls) -> "AffineLattice2":
@@ -253,15 +255,20 @@ def divisors(n: int) -> list[int]:
     """Positive divisors of ``n`` in ascending order."""
     if n < 1:
         raise DomainError("divisors of a non-positive integer")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    out = [1]
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            powers = []
+            while n % p == 0:  # divide out each prime factor as it is found
+                n //= p
+                powers.append(p * (powers[-1] if powers else 1))
+            out += [d * q for q in powers for d in out]
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out += [d * n for d in out]
+    out.sort()
+    return out
 
 
 def intermediate_lattices(l0: AffineLattice2) -> list[AffineLattice2]:

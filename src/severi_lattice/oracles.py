@@ -11,8 +11,8 @@ production profile, and ``tests/test_layering.py`` checks that.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import gcd
-from typing import Optional, Sequence
 
 from .lattices import AffineLattice2, affine_span, intermediate_lattices
 from .polygons import Facet, LatticePolygon
@@ -128,7 +128,7 @@ def brute_force_width(
     bottom = min(verts, key=lambda v: v[1])
     ex, ey = top[0] - bottom[0], top[1] - bottom[1]
     bound = min(spread(1, 0), spread(0, 1))
-    best: Optional[tuple[int, Point]] = None
+    best: tuple[int, Point] | None = None
     for dx in range(0, sup_norm + 1):
         # -bound <= dx*ex + dy*ey <= bound, with ey >= 1
         lo = max(-sup_norm, -((bound + dx * ex) // ey))

@@ -16,10 +16,10 @@ width oracle ``brute_force_width`` lives in ``oracles``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Sequence
 from math import gcd
-from typing import Optional, Sequence
 
+from ._record import Record
 from .errors import DomainError, InvariantViolation
 from .lattices import AffineLattice2, affine_span
 
@@ -44,16 +44,22 @@ class InteriorClassification(enum.Enum):
     TWICE_PRIMITIVE_TRIANGLE = "TWICE_PRIMITIVE_TRIANGLE"
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(Record):
     """One side of the polygon with its integral length and inner normal."""
 
-    index: int
-    start: Point
-    end: Point
-    vector: Point
-    length: int  # integral length: gcd of |vector| coordinates
-    normal: Point  # primitive inner normal
+    # length: integral length (gcd of |vector|); normal: primitive inner normal
+    __slots__ = ("index", "start", "end", "vector", "length", "normal")
+
+    def __init__(
+        self, index: int, start: Point, end: Point, vector: Point, length: int,
+        normal: Point,
+    ) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "normal", normal)
 
     def to_json_dict(self) -> dict:
         return {
@@ -66,13 +72,17 @@ class Facet:
         }
 
 
-@dataclass(frozen=True)
-class AffineNormalization:
+class AffineNormalization(Record):
     """Exact chart onto a lattice frame: v maps to adj @ (v - offset) / divisor."""
 
-    adj: tuple[tuple[int, int], tuple[int, int]]
-    divisor: int
-    offset: Point
+    __slots__ = ("adj", "divisor", "offset")
+
+    def __init__(
+        self, adj: tuple[tuple[int, int], tuple[int, int]], divisor: int, offset: Point
+    ) -> None:
+        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "divisor", divisor)
+        object.__setattr__(self, "offset", offset)
 
     def apply(self, point: Sequence[int]) -> Point:
         x, y = point[0] - self.offset[0], point[1] - self.offset[1]
@@ -461,7 +471,7 @@ def _width_of_vertices(verts: Sequence[Point]) -> tuple[int, Point]:
     if f1 < f2:
         return (f1, canon(b1))  # +-b1 are the only minimizers
 
-    best: Optional[tuple[int, Point]] = None
+    best: tuple[int, Point] | None = None
     for x in range(0, 3):
         for y in range(-2, 3):
             if x == 0 and y <= 0:

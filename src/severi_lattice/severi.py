@@ -22,10 +22,10 @@ certificates read from it live in ``certificates``; this module imports no
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import oracles
+from ._record import Record
 from .errors import DomainError, InvariantViolation
 from .lattices import (
     AffineLattice2,
@@ -50,8 +50,7 @@ __all__ = [
 Point = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class BoundaryProfile:
+class BoundaryProfile(Record):
     """Boundary data of a polygon: facets, normal lattice, boundary lattice.
 
     Held at the level of facets: ``m0`` is the affine span of the boundary
@@ -61,11 +60,17 @@ class BoundaryProfile:
     built from the facets where they are read.
     """
 
-    polygon: LatticePolygon
-    facets: tuple[Facet, ...]
-    m0: AffineLattice2
-    n0: AffineLattice2
-    idx: int
+    __slots__ = ("polygon", "facets", "m0", "n0", "idx")
+
+    def __init__(
+        self, polygon: LatticePolygon, facets: tuple[Facet, ...], m0: AffineLattice2,
+        n0: AffineLattice2, idx: int,
+    ) -> None:
+        object.__setattr__(self, "polygon", polygon)
+        object.__setattr__(self, "facets", facets)
+        object.__setattr__(self, "m0", m0)
+        object.__setattr__(self, "n0", n0)
+        object.__setattr__(self, "idx", idx)
 
     @property
     def l(self) -> int:
@@ -106,19 +111,35 @@ def divisor_of_monomial(profile: BoundaryProfile, m: Sequence[int]) -> tuple[int
     return tuple(m[0] * f.normal[0] + m[1] * f.normal[1] for f in profile.facets)
 
 
-@dataclass(frozen=True)
-class ComponentDescriptor:
+class ComponentDescriptor(Record):
     """Label of one candidate component of the genus-one Severi variety."""
 
-    N: AffineLattice2  # intermediate linear lattice, n0 <= N <= Z^2
-    M: AffineLattice2  # paired affine lattice (rotated linear part, m0 basepoint)
-    d: int  # [N : n0]; also the torsion order of the marked divisor class
-    index_in_z2: int  # [Z^2 : N] == idx / d
-    torsion_order: int
-    interior_count: int  # |interior(polygon) ∩ M|
-    is_empty_locus: bool  # excised: the kernel locus is empty
-    excluded_nonbirational: bool  # excised: its curves are non-birational covers
-    contributes: bool
+    __slots__ = (
+        "N",  # intermediate linear lattice, n0 <= N <= Z^2
+        "M",  # paired affine lattice (rotated linear part, m0 basepoint)
+        "d",  # [N : n0]; also the torsion order of the marked divisor class
+        "index_in_z2",  # [Z^2 : N] == idx / d
+        "torsion_order",
+        "interior_count",  # |interior(polygon) ∩ M|
+        "is_empty_locus",  # excised: the kernel locus is empty
+        "excluded_nonbirational",  # excised: its curves are non-birational covers
+        "contributes",
+    )
+
+    def __init__(
+        self, N: AffineLattice2, M: AffineLattice2, d: int, index_in_z2: int,
+        torsion_order: int, interior_count: int, is_empty_locus: bool,
+        excluded_nonbirational: bool, contributes: bool,
+    ) -> None:
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "index_in_z2", index_in_z2)
+        object.__setattr__(self, "torsion_order", torsion_order)
+        object.__setattr__(self, "interior_count", interior_count)
+        object.__setattr__(self, "is_empty_locus", is_empty_locus)
+        object.__setattr__(self, "excluded_nonbirational", excluded_nonbirational)
+        object.__setattr__(self, "contributes", contributes)
 
     def to_json_dict(self) -> dict:
         return {
@@ -203,23 +224,35 @@ def severi_dimension(polygon: LatticePolygon, genus: int) -> int:
     return sum(f.length for f in polygon.facets()) + genus - 1
 
 
-@dataclass(frozen=True)
-class SeveriReport:
+class SeveriReport(Record):
     """Aggregate analysis of one polygon."""
 
-    polygon: LatticePolygon
-    l: int
-    severi_dim: int
-    facets: tuple[Facet, ...]
-    idx: int
-    divisor_list: tuple[int, ...]
-    m0: AffineLattice2
-    n0: AffineLattice2
-    width_m0: int
-    width_m0_direction: Point
-    classification_m0: InteriorClassification
-    components: tuple[ComponentDescriptor, ...]
-    component_count: int
+    __slots__ = (
+        "polygon", "l", "severi_dim", "facets", "idx", "divisor_list", "m0", "n0",
+        "width_m0", "width_m0_direction", "classification_m0", "components",
+        "component_count",
+    )
+
+    def __init__(
+        self, polygon: LatticePolygon, l: int, severi_dim: int,
+        facets: tuple[Facet, ...], idx: int, divisor_list: tuple[int, ...],
+        m0: AffineLattice2, n0: AffineLattice2, width_m0: int,
+        width_m0_direction: Point, classification_m0: InteriorClassification,
+        components: tuple[ComponentDescriptor, ...], component_count: int,
+    ) -> None:
+        object.__setattr__(self, "polygon", polygon)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "severi_dim", severi_dim)
+        object.__setattr__(self, "facets", facets)
+        object.__setattr__(self, "idx", idx)
+        object.__setattr__(self, "divisor_list", divisor_list)
+        object.__setattr__(self, "m0", m0)
+        object.__setattr__(self, "n0", n0)
+        object.__setattr__(self, "width_m0", width_m0)
+        object.__setattr__(self, "width_m0_direction", width_m0_direction)
+        object.__setattr__(self, "classification_m0", classification_m0)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "component_count", component_count)
 
     def to_json_dict(self) -> dict:
         return {

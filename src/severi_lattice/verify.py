@@ -9,9 +9,8 @@ acceptance suite.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Callable
 from itertools import chain
-from typing import Callable, Optional
 
 from . import severi
 from .certificates import a_delta, component_signature, owner, width_one_by_rank
@@ -33,12 +32,14 @@ __all__ = [
 ]
 
 
-@dataclass
 class CheckOutcome:
-    name: str
-    passed: int = 0
-    failed: int = 0
-    first_failure: Optional[str] = None
+    __slots__ = ("name", "passed", "failed", "first_failure")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.passed = 0
+        self.failed = 0
+        self.first_failure: str | None = None
 
     def record(self, ok: bool, detail: Callable[[], str]) -> None:
         if ok:
@@ -49,9 +50,11 @@ class CheckOutcome:
                 self.first_failure = detail()
 
 
-@dataclass
 class VerificationReport:
-    checks: list[CheckOutcome]
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list[CheckOutcome]) -> None:
+        self.checks = checks
 
     @property
     def ok(self) -> bool:
@@ -194,6 +197,8 @@ def run_verification(
     their own paths.  Each polygon leaves the corpus list once it is
     checked, so its caches are released then, not at the end of the run.
     """
+    if trials < 0:
+        raise DomainError("trials must be nonnegative")
     corpus = enumerate_corpus(CorpusSpec(max_coordinate=max_coord))
     pick_z2 = CheckOutcome("pick identity over Z^2")
     pick_m0 = CheckOutcome("pick identity over M0")

@@ -195,6 +195,16 @@ class TestCorpusCommand:
         assert len(files) == 5
         json.loads(files[0].read_text(encoding="utf-8"))
 
+    @pytest.mark.parametrize("where", ["existing file", "below a file"])
+    def test_unwritable_out_is_an_input_error(self, tmp_path, capsys, where):
+        blocker = tmp_path / "taken"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker if where == "existing file" else blocker / "corpus"
+        assert main(["corpus", "--max-coord", "1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
 
 class TestVerifyCommand:
     def test_small_run_passes(self, capsys):
@@ -211,6 +221,13 @@ class TestVerifyCommand:
         assert code == 2
         out = capsys.readouterr().out
         assert "FAILURES DETECTED" in out
+
+
+    def test_negative_trials_is_an_input_error(self, capsys):
+        assert main(["verify", "--max-coord", "1", "--trials", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 class TestMalformedInput:

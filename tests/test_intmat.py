@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -110,9 +109,9 @@ class TestIntMat:
     def test_slotted_and_frozen(self):
         m = IntMat.from_rows([[1, 2], [3, 4]])
         assert not hasattr(m, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             m.rows = 3
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             m.entries = (0, 0, 0, 0)
         assert m.transpose().transpose() == m
         assert hash(m.transpose()) == hash(IntMat.from_rows([[1, 3], [2, 4]]))

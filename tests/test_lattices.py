@@ -375,6 +375,17 @@ def test_divisors():
         divisors(0)
 
 
+def test_divisors_match_the_definition():
+    for n in range(1, 20_001):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+    # the bound-scale triangle's index, and a prime past every small factor
+    for n, count in ((21_067_200, 504), (2**31 - 1, 2)):
+        pairs = [(d, n // d) for d in range(1, int(n**0.5) + 1) if n % d == 0]
+        got = divisors(n)
+        assert got == sorted({d for pair in pairs for d in pair})
+        assert len(got) == count
+
+
 def test_json_round_trip():
     lat = odd_lattice()
     assert AffineLattice2.from_json_dict(lat.to_json_dict()) == lat

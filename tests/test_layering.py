@@ -7,6 +7,8 @@ happens to be loaded.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -149,3 +151,21 @@ def test_the_parser_sees_each_import_form():
     assert imported("cli") >= {"severi", "corpus", "intmat"}
     assert imported("severi") >= {"oracles", "lattices", "polygons"}
     assert {"interior_count_in", "build_profile"} <= named("severi")
+
+
+def test_the_cli_imports_no_dataclasses_typing_or_pathlib():
+    # each of these costs a severi process milliseconds of start-up;
+    # -S keeps site packages from loading them first
+    probe = (
+        "import sys; import severi_lattice.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'pathlib'} "
+        "& set(sys.modules)))"
+    )
+    src = str(PACKAGE.parent)
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, {src!r}); {probe}"],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"

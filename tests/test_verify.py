@@ -1,10 +1,10 @@
-import dataclasses
 import random
 from collections import Counter
 
 from severi_lattice import severi
 from severi_lattice.lattices import Z2
 from severi_lattice.polygons import LatticePolygon
+from severi_lattice.severi import BoundaryProfile
 from severi_lattice.verify import (
     random_gl_h,
     random_unimodular,
@@ -85,11 +85,12 @@ class TestOnePass:
         # N0 is the quarter turn of M0 by construction; the battery compares
         # it with the span of the normals, which a wrong N0 cannot match
         build = severi.build_profile
-        monkeypatch.setattr(
-            severi,
-            "build_profile",
-            lambda poly: dataclasses.replace(build(poly), n0=Z2),
-        )
+
+        def wrong_n0(poly):
+            p = build(poly)
+            return BoundaryProfile(p.polygon, p.facets, p.m0, Z2, p.idx)
+
+        monkeypatch.setattr(severi, "build_profile", wrong_n0)
         report = run_verification(max_coord=2, trials=0)
         assert not report.ok
         check = self._check(report, "rotation duality M0 <-> N0")
