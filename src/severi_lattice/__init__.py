@@ -4,11 +4,12 @@ Layers, bottom to top:
 
 - ``intmat``: arbitrary-precision integer matrices, Smith normal form and
   its homogeneous variant, both with unimodular certificates.
-- ``lattices``: affine sublattices of Z^2 in canonical form, spans,
-  indices, rotation, intermediate-lattice enumeration.
-- ``polygons``: validated convex lattice polygons, boundary points,
-  interior counts by Pick's theorem, lattice width by Gauss reduction,
-  interior classification; interior point scans kept as oracles.
+- ``lattices``: affine sublattices of Z^2 in canonical form, spans, indices,
+  rotation, intermediate lattices, coordinates in a lattice's basis.
+- ``polygons``: validated convex lattice polygons, boundary points, and,
+  in a lattice's basis, interior counts by Pick's theorem, the lattice
+  width by Gauss reduction and the interior classification; point scans
+  kept as oracles.
 - ``oracles``: literal recomputations that share no formula with the
   closed forms: the component count by testing each lattice's two
   conditions, and the lattice width by a direction scan.

@@ -8,17 +8,15 @@ the one polygon-side module that imports ``intmat``.
 
 from __future__ import annotations
 
-from .errors import DomainError, InvariantViolation
-from .intmat import IntMat, hsnf, rank
+from .errors import InvariantViolation
+from .intmat import IntMat, hsnf
 from .severi import BoundaryProfile
 
 __all__ = [
     "a_delta",
     "owner",
     "component_signature",
-    "diagonal_rank_matrix",
     "width_one_by_rank",
-    "expected_kernel_dimension",
 ]
 
 
@@ -71,20 +69,9 @@ def component_signature(profile: BoundaryProfile) -> tuple[int, ...]:
     return tuple(z)
 
 
-def diagonal_rank_matrix(profile: BoundaryProfile, i1: int, i2: int) -> IntMat:
-    """The normal matrix with the diagonal test row e_{i1} - e_{i2} adjoined."""
-    l = profile.l
-    if not 0 <= i1 < i2 < l:
-        raise DomainError(f"need 0 <= i1 < i2 < {l}, got ({i1}, {i2})")
-    third = [0] * l
-    third[i1] = 1
-    third[i2] = -1
-    rows = a_delta(profile).to_rows() + [third]
-    return IntMat.from_rows(rows)
-
-
 def width_one_by_rank(profile: BoundaryProfile) -> tuple[int, int] | None:
-    """First pair (i1, i2) with rank of the adjoined matrix still two, if any.
+    """First pair (i1, i2) such that the normal matrix with the test row
+    e_{i1} - e_{i2} adjoined still has rank two, if any.
 
     Such a pair exists iff the polygon has width one in the boundary
     lattice.  Rank stays two exactly when e_{i1} - e_{i2} lies in the
@@ -115,10 +102,3 @@ def width_one_by_rank(profile: BoundaryProfile) -> tuple[int, int] | None:
             else:
                 return (i1, i2)
     return None
-
-
-def expected_kernel_dimension(a: IntMat) -> int:
-    """Dimension l - r of the kernel locus attached to a zero-row-sum matrix."""
-    if any(a.row_sums()):
-        raise DomainError("matrix rows must sum to zero (A @ 1 == 0)")
-    return a.cols - rank(a)

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 invalid input, 2 internal invariant violation.
 Diagnostics go to stderr only, so stdout is always machine-readable, and
-identical inputs produce byte-identical output.
+identical inputs produce byte-identical output.  ``entry`` (the ``severi``
+command) also exits 1 with one ``error:`` line when stdout is closed or its
+reader leaves early (``severi corpus --max-coord 4 | head -1``).
 """
 
 from __future__ import annotations
@@ -210,7 +212,17 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    # sys.exit(message) prints the message on stderr and exits with code 1
+    if sys.stdout is None:  # severi ... >&-
+        sys.exit("error: stdout is closed")
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the Python docs' SIGPIPE idiom: devnull on fd 1 keeps the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit("error: stdout was closed before all output was written")
+    sys.exit(code)
 
 
 if __name__ == "__main__":

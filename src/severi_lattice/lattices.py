@@ -226,6 +226,17 @@ def affine_span(points: Sequence[Sequence[int]]) -> AffineLattice2:
     return _canonical(pts[0], d1, e, d2)
 
 
+def _in_basis(lat: AffineLattice2, vector: Point) -> Point:
+    """``(a, b)`` with ``vector == a * (d1, 0) + b * (e, d2)``: the frame in
+    which ``polygons`` measures in ``lat``.  DomainError off the linear part."""
+    (d1, e), (_, d2) = lat.basis
+    b, ry = divmod(vector[1], d2)
+    a, rx = divmod(vector[0] - b * e, d1)
+    if rx or ry:
+        raise DomainError(f"vector {vector} is not in the linear part of {lat}")
+    return (a, b)
+
+
 def _require_linear(lat: AffineLattice2, what: str) -> None:
     if not lat.is_linear:
         raise DomainError(f"{what} expects a linear lattice (basepoint 0)")

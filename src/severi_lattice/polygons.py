@@ -7,10 +7,10 @@ non-convex input.  All computations are exact integer arithmetic.
 
 Interior counts (``interior_count_in``, Pick's theorem, O(vertices)) and
 the lattice width (Gauss reduction, O(vertices * log width) per step) are
-the production path.  The point scans ``interior_points`` and
-``interior_points_in`` (O(area)) are oracles for tests and the verify
-battery; they stay methods so their results cache on the polygon.  The
-width oracle ``brute_force_width`` lives in ``oracles``.
+the production path, both read in a lattice's basis (``lattices._in_basis``).
+The point scans ``interior_points`` and ``interior_points_in`` (O(area)) are
+oracles for tests and the verify battery, kept as methods so their results
+cache on the polygon; the width oracle ``brute_force_width`` is in ``oracles``.
 """
 
 from __future__ import annotations
@@ -21,14 +21,13 @@ from math import gcd
 
 from ._record import Record
 from .errors import DomainError, InvariantViolation
-from .lattices import AffineLattice2, affine_span
+from .lattices import AffineLattice2, _in_basis
 
 __all__ = [
     "COORD_BOUND",
     "Facet",
     "InteriorClassification",
     "LatticePolygon",
-    "AffineNormalization",
 ]
 
 COORD_BOUND = 10**4  # documented CLI bound on |coordinate|
@@ -70,35 +69,6 @@ class Facet(Record):
             "length": self.length,
             "normal": list(self.normal),
         }
-
-
-class AffineNormalization(Record):
-    """Exact chart onto a lattice frame: v maps to adj @ (v - offset) / divisor."""
-
-    __slots__ = ("adj", "divisor", "offset")
-
-    def __init__(
-        self, adj: tuple[tuple[int, int], tuple[int, int]], divisor: int, offset: Point
-    ) -> None:
-        object.__setattr__(self, "adj", adj)
-        object.__setattr__(self, "divisor", divisor)
-        object.__setattr__(self, "offset", offset)
-
-    def apply(self, point: Sequence[int]) -> Point:
-        x, y = point[0] - self.offset[0], point[1] - self.offset[1]
-        nx = self.adj[0][0] * x + self.adj[0][1] * y
-        ny = self.adj[1][0] * x + self.adj[1][1] * y
-        if nx % self.divisor or ny % self.divisor:
-            raise DomainError(f"point {tuple(point)} is not in the lattice")
-        return (nx // self.divisor, ny // self.divisor)
-
-
-def _chart(lattice: AffineLattice2, offset: Point) -> AffineNormalization:
-    """The chart onto the basis frame of ``lattice``, with origin ``offset``."""
-    (d1, e), (_, d2) = lattice.basis
-    return AffineNormalization(
-        adj=((d2, -e), (0, d1)), divisor=d1 * d2, offset=offset
-    )
 
 
 def _cross(o: Point, a: Point, b: Point) -> int:
@@ -256,11 +226,7 @@ class LatticePolygon:
         in M.  O(vertices) time, independent of the area.
         """
         self._require_vertices_in(lattice)
-        (d1, e), (_, d2) = lattice.basis
-        border = 0
-        for f in self.facets():
-            vx, vy = f.vector
-            border += gcd((d2 * vx - e * vy) // (d1 * d2), vy // d2)
+        border = sum(self._lengths_in(lattice))
         return (self.twice_area() // lattice.index_in_z2 - border + 2) // 2
 
     # -- lattice-relative operations --------------------------------------
@@ -270,18 +236,9 @@ class LatticePolygon:
             if not lattice._has(v):
                 raise DomainError(f"vertex {v} is not in the lattice {lattice}")
 
-    def normalize_to_lattice(
-        self, lattice: AffineLattice2
-    ) -> tuple["LatticePolygon", AffineNormalization]:
-        """Express the polygon in the basis frame of ``lattice``.
-
-        The image polygon sees ``lattice`` as Z^2; the returned transform
-        record allows auditing (and inverting) the change of coordinates.
-        Orientation is preserved because the basis has positive determinant.
-        """
-        self._require_vertices_in(lattice)
-        chart = _chart(lattice, lattice.basepoint)
-        return LatticePolygon([chart.apply(v) for v in self._vertices]), chart
+    def _lengths_in(self, lattice: AffineLattice2) -> list[int]:
+        """Facet lengths in ``lattice``: gcds of their coordinates in its basis."""
+        return [gcd(*_in_basis(lattice, f.vector)) for f in self.facets()]
 
     def verify_pick(self, lattice: AffineLattice2) -> bool:
         """Check Pick's identity in lattice-normalized coordinates.
@@ -303,18 +260,19 @@ class LatticePolygon:
         """Lattice width w.r.t. a linear lattice, with a minimizing direction.
 
         Returns ``(width, direction)``; the direction is a primitive dual
-        vector in the normalized frame of ``lattice``, sign-normalized to
+        vector in the basis frame of ``lattice``, sign-normalized to
         have its first nonzero coordinate positive, ties broken by picking
-        the lexicographically smallest minimizer.  Cached per lattice, so
+        the lexicographically smallest minimizer; DomainError unless
+        ``lattice`` holds the vertex differences.  Cached per lattice, so
         ``analyze`` reduces M0's width once.
         """
         if not lattice.is_linear:
             raise DomainError("lattice_width expects a linear lattice")
         key = ("width", lattice)
         if key not in self._cache:
-            chart = _chart(lattice, self._vertices[0])
+            x0, y0 = self._vertices[0]
             self._cache[key] = _width_of_vertices(
-                [chart.apply(v) for v in self._vertices]
+                [_in_basis(lattice, (x - x0, y - y0)) for x, y in self._vertices]
             )
         return self._cache[key]
 
@@ -330,21 +288,20 @@ class LatticePolygon:
         InvariantViolation is raised if it fails, since an empty interior
         admits no third possibility.
 
-        Production path, with no work that grows with the area: emptiness
-        comes from ``interior_count_in`` (Pick, O(vertices)), the width from
-        the reduction behind ``lattice_width`` (O(vertices * log width)),
-        and only the last case looks at the boundary points.
+        Production path, O(facets) besides the width reduction: emptiness
+        comes from ``interior_count_in`` (Pick), and the last case compares
+        the side lengths in ``lattice`` and the span of the half sides, which
+        the boundary points in ``lattice`` (vertices and midpoints) generate.
         """
         if self.interior_count_in(lattice):
             return InteriorClassification.NON_EMPTY_INTERIOR
         if self.lattice_width(lattice.linear_part())[0] == 1:
             return InteriorClassification.WIDTH_ONE
-        norm, _ = self.normalize_to_lattice(lattice)
-        side_lengths = [f.length for f in norm.facets()]
-        boundary_in = [p for p in self.boundary_points() if lattice.contains(p)]
         # [2, 2, 2] holds only for a triangle with sides of length two in lattice
-        ok = side_lengths == [2, 2, 2] and affine_span(boundary_in) == lattice
-        if not ok:
+        halves = [(f.vector[0] // 2, f.vector[1] // 2) for f in self.facets()]
+        if self._lengths_in(lattice) != [2, 2, 2] or (
+            AffineLattice2.from_generators(self._vertices[0], halves) != lattice
+        ):
             raise InvariantViolation(
                 "empty interior but neither width one nor twice a primitive "
                 f"triangle: vertices {self._vertices}"

@@ -22,8 +22,6 @@ certificates read from it live in ``certificates``; this module imports no
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from . import oracles
 from ._record import Record
 from .errors import DomainError, InvariantViolation
@@ -40,7 +38,6 @@ __all__ = [
     "ComponentDescriptor",
     "SeveriReport",
     "build_profile",
-    "divisor_of_monomial",
     "enumerate_components",
     "count_components",
     "severi_dimension",
@@ -102,13 +99,6 @@ def build_profile(polygon: LatticePolygon) -> BoundaryProfile:
     return BoundaryProfile(
         polygon=polygon, facets=facets, m0=m0, n0=n0, idx=n0.index_in_z2
     )
-
-
-def divisor_of_monomial(profile: BoundaryProfile, m: Sequence[int]) -> tuple[int, ...]:
-    """Coefficients of div(x^m) on the toric boundary: (m . n_j) per facet."""
-    if len(m) != 2 or type(m[0]) is not int or type(m[1]) is not int:
-        raise DomainError(f"monomial exponent must be an integer pair, got {m!r}")
-    return tuple(m[0] * f.normal[0] + m[1] * f.normal[1] for f in profile.facets)
 
 
 class ComponentDescriptor(Record):

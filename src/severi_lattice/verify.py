@@ -25,10 +25,8 @@ __all__ = [
     "CheckOutcome",
     "VerificationReport",
     "run_verification",
-    "random_homogeneous_matrix",
     "perturb_homogeneous",
     "random_unimodular",
-    "random_gl_h",
 ]
 
 
@@ -89,44 +87,6 @@ def random_unimodular(n: int, rng: random.Random, max_ops: int = 20) -> IntMat:
             rows[i], rows[j] = rows[j], rows[i]
         elif kind == 2:
             rows[i] = [-x for x in rows[i]]
-    return IntMat.from_rows(rows)
-
-
-def random_gl_h(n: int, rng: random.Random, max_ops: int = 20) -> IntMat:
-    """Random element of GL_n^h(Z) (unimodular, fixing the all-ones vector).
-
-    Generators: permutations and paired transvections that add c times one
-    coordinate to a second while subtracting it from a third, which keeps
-    every row sum equal to one.
-    """
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    if n == 1:
-        return IntMat.from_rows(rows)
-    for _ in range(rng.randint(1, max_ops)):
-        if n >= 3 and rng.randrange(2):
-            i, j, k = rng.sample(range(n), 3)
-            c = rng.choice((-3, -2, -1, 1, 2, 3))
-            # right-multiplication matrix I + c*e_i (e_j - e_k)^T acts on rows
-            rows[i] = [
-                x + c * (y - z) for x, y, z in zip(rows[i], rows[j], rows[k])
-            ]
-        else:
-            i, j = rng.sample(range(n), 2)
-            rows[i], rows[j] = rows[j], rows[i]
-    return IntMat.from_rows(rows)
-
-
-def random_homogeneous_matrix(
-    rng: random.Random, max_rows: int = 6, max_cols: int = 8, bound: int = 9
-) -> IntMat:
-    """Random zero-row-sum matrix: random entries plus a balancing column."""
-    s = rng.randint(1, max_rows)
-    c = rng.randint(1, max_cols)
-    rows = []
-    for _ in range(s):
-        r = [rng.randint(-bound, bound) for _ in range(c)]
-        r.append(-sum(r))
-        rows.append(r)
     return IntMat.from_rows(rows)
 
 

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -204,6 +207,47 @@ class TestCorpusCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+class TestStdoutFailures:
+    """The ``severi`` command (``entry``) exits 1 with one ``error:`` line and
+    no traceback when stdout cannot take its output."""
+
+    @staticmethod
+    def severi(*args):
+        src = os.path.dirname(os.path.dirname(severi_lattice.cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        return [sys.executable, "-m", "severi_lattice.cli", *args], env
+
+    @staticmethod
+    def assert_one_error_line(code, err):
+        assert code == 1
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+    def test_reader_leaves_after_one_line(self):
+        # corpus --max-coord 4 writes 17,978 lines, far more than a pipe holds
+        argv, env = self.severi("corpus", "--max-coord", "4")
+        proc = subprocess.Popen(
+            argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait(timeout=60)
+        assert json.loads(first) == {"vertices": [[0, 0], [1, 0], [0, 1]]}
+        self.assert_one_error_line(code, err)
+
+    def test_closed_stdout(self, d3_file):
+        argv, env = self.severi("analyze", d3_file)
+        # the shell's >&- runs the command with fd 1 closed
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", *argv],
+            env=env, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+        self.assert_one_error_line(proc.returncode, proc.stderr)
 
 
 class TestVerifyCommand:

@@ -43,6 +43,8 @@ from severi_lattice.severi import (
     enumerate_components,
 )
 
+from helpers import image_in
+
 
 def square_scan_width(verts):
     """The O(U^2) width scan used before the reduction, kept as an oracle.
@@ -219,7 +221,7 @@ class TestReducedWidth:
     def test_corpus4_in_boundary_lattice(self, corpus4):
         for poly in corpus4:
             m0 = affine_span(poly.boundary_points())
-            image, _ = poly.normalize_to_lattice(m0)
+            image = image_in(poly, m0)
             reduced = poly.lattice_width(m0.linear_part())
             assert reduced == square_scan_width(image.vertices), poly
 

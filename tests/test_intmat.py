@@ -16,12 +16,9 @@ from severi_lattice.intmat import (
     rank,
     snf,
 )
-from severi_lattice.verify import (
-    perturb_homogeneous,
-    random_gl_h,
-    random_homogeneous_matrix,
-    random_unimodular,
-)
+from severi_lattice.verify import perturb_homogeneous, random_unimodular
+
+from helpers import random_gl_h, random_homogeneous_matrix
 
 
 @st.composite

@@ -376,8 +376,15 @@ def test_divisors():
 
 
 def test_divisors_match_the_definition():
-    for n in range(1, 20_001):
-        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+    # d divides n iff n is a multiple of d, so one sieve pass lists the
+    # divisors of every n up to the limit, in ascending order
+    limit = 20_000
+    divisors_of = [[] for _ in range(limit + 1)]
+    for d in range(1, limit + 1):
+        for n in range(d, limit + 1, d):
+            divisors_of[n].append(d)
+    for n in range(1, limit + 1):
+        assert divisors(n) == divisors_of[n], n
     # the bound-scale triangle's index, and a prime past every small factor
     for n, count in ((21_067_200, 504), (2**31 - 1, 2)):
         pairs = [(d, n // d) for d in range(1, int(n**0.5) + 1) if n % d == 0]

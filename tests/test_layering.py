@@ -18,9 +18,12 @@ import severi_lattice
 PACKAGE = Path(severi_lattice.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 PRODUCTION = ("lattices", "polygons", "corpus", "severi")
-# Pick's theorem, the area, the Gauss reduction and the production profile
+# Pick's theorem, the area, the Gauss reduction, the basis frame they read a
+# lattice in, and the production profile
 CLOSED_FORMS = {
     "interior_count_in",
+    "_lengths_in",
+    "_in_basis",
     "twice_area",
     "lattice_width",
     "_width_of_vertices",

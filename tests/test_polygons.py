@@ -14,6 +14,8 @@ from severi_lattice.polygons import (
     LatticePolygon,
 )
 
+from helpers import image_in
+
 
 class TestValidate:
     def test_triangle(self, triangle_d3):
@@ -238,37 +240,66 @@ class TestClassification:
             is InteriorClassification.TWICE_PRIMITIVE_TRIANGLE
         )
 
+    def test_twice_primitive_without_a_scan(self, monkeypatch, triangle_d2):
+        # the last case reads side lengths and half sides, O(facets): no
+        # boundary or interior scan and no second polygon
+        m0 = affine_span(triangle_d2.boundary_points())
+        triangle_d4 = LatticePolygon([(0, 0), (4, 0), (0, 4)])
+        doubled = AffineLattice2.linear_from_generators([(2, 0), (0, 2)])
+
+        def scan(*args):
+            raise AssertionError("classify_interior_empty scanned or built a polygon")
+
+        for name in ("__init__", "boundary_points", "interior_points"):
+            monkeypatch.setattr(LatticePolygon, name, scan)
+        cases = ((triangle_d2, Z2), (triangle_d2, m0), (triangle_d4, doubled))
+        for poly, lattice in cases:
+            assert (
+                poly.classify_interior_empty(lattice)
+                is InteriorClassification.TWICE_PRIMITIVE_TRIANGLE
+            )
+
 
 class TestNormalization:
+    """The polygon seen in a lattice's frame, mapped by the test's own
+    ``helpers.frame``, against what the library measures in that lattice."""
+
     def test_identity(self, triangle_d3):
-        image, chart = triangle_d3.normalize_to_lattice(Z2)
+        image = image_in(triangle_d3, Z2)
         assert image == triangle_d3
-        assert chart.divisor == 1 and chart.offset == (0, 0)
+        assert triangle_d3.lattice_width(Z2) == image.lattice_width(Z2)
 
     def test_diamond_to_boundary_lattice(self, diamond1):
         m0 = affine_span(diamond1.boundary_points())
-        image, chart = diamond1.normalize_to_lattice(m0)
+        image = image_in(diamond1, m0)
         assert image.twice_area() == 2  # a unimodular copy of the unit square
         assert len(image.boundary_points()) == 4
         assert image.lattice_width(Z2)[0] == 1
-        assert [chart.apply(v) for v in diamond1.vertices] == list(image.vertices)
+        assert diamond1.lattice_width(m0.linear_part()) == image.lattice_width(Z2)
 
     def test_d2_in_own_boundary_lattice(self, triangle_d2):
         m0 = affine_span(triangle_d2.boundary_points())
-        image, _ = triangle_d2.normalize_to_lattice(m0)
+        image = image_in(triangle_d2, m0)
         assert image.twice_area() == 4
         assert [f.length for f in image.facets()] == [2, 2, 2]
+        assert triangle_d2._lengths_in(m0) == [2, 2, 2]
 
     def test_requires_membership(self, diamond1):
+        # the vertices leave the even lattice; a vertex difference, (-1, 1),
+        # leaves 2Z^2
         even = AffineLattice2.linear_from_generators([(1, 1), (1, -1)])
         with pytest.raises(DomainError):
-            diamond1.normalize_to_lattice(even)
+            diamond1.interior_count_in(even)
+        doubled = AffineLattice2.linear_from_generators([(2, 0), (0, 2)])
+        with pytest.raises(DomainError):
+            diamond1.lattice_width(doubled)
 
     def test_area_and_boundary_invariance(self):
         rng = random.Random(23)
         for _ in range(25):
             poly = random_polygon(rng, 7)
             m0 = affine_span(poly.boundary_points())
-            image, _ = poly.normalize_to_lattice(m0)
+            image = image_in(poly, m0)
             assert image.twice_area() * m0.index_in_z2 == poly.twice_area()
             assert len(image.boundary_points()) == len(poly.boundary_points())
+            assert poly._lengths_in(m0) == [f.length for f in image.facets()]

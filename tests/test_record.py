@@ -14,7 +14,7 @@ from severi_lattice._record import Record
 from severi_lattice.corpus import CorpusSpec
 from severi_lattice.intmat import IntMat, hsnf, snf
 from severi_lattice.lattices import Z2, AffineLattice2, affine_span
-from severi_lattice.polygons import AffineNormalization, LatticePolygon
+from severi_lattice.polygons import LatticePolygon
 from severi_lattice.severi import analyze, build_profile, enumerate_components
 
 
@@ -29,7 +29,6 @@ BUILDERS = {
     "HsnfResult": lambda: hsnf(IntMat.from_rows([[1, 2, -3], [4, -1, -3]])),
     "AffineLattice2": lambda: affine_span([(1, 0), (0, 1), (-1, 0)]),
     "Facet": lambda: _polygon().facets()[1],
-    "AffineNormalization": lambda: AffineNormalization(((2, -1), (0, 1)), 2, (1, 0)),
     "BoundaryProfile": lambda: build_profile(_polygon()),
     "ComponentDescriptor": lambda: enumerate_components(_polygon())[-1],
     "SeveriReport": lambda: analyze(_polygon()),

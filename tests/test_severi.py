@@ -9,8 +9,6 @@ import severi_lattice.severi
 from severi_lattice.certificates import (
     a_delta,
     component_signature,
-    diagonal_rank_matrix,
-    expected_kernel_dimension,
     owner,
     width_one_by_rank,
 )
@@ -30,7 +28,6 @@ from severi_lattice.severi import (
     analyze,
     build_profile,
     count_components,
-    divisor_of_monomial,
     enumerate_components,
     severi_dimension,
 )
@@ -80,19 +77,6 @@ class TestBuildProfile:
             assert profile.n0 == AffineLattice2.linear_from_generators(normals)
 
 
-class TestDivisorOfMonomial:
-    def test_examples(self, triangle_d2, unit_square):
-        p2 = build_profile(triangle_d2)
-        assert divisor_of_monomial(p2, (0, 0)) == (0, 0, 0)
-        assert divisor_of_monomial(p2, (1, 0)) == (0, -1, 1)
-        psq = build_profile(unit_square)
-        assert divisor_of_monomial(psq, (1, 1)) == (1, -1, -1, 1)
-
-    def test_rejects_bad_exponent(self, triangle_d2):
-        with pytest.raises(DomainError):
-            divisor_of_monomial(build_profile(triangle_d2), (1, 2, 3))
-
-
 class TestComponentSignature:
     def test_paper_family(self):
         for a, b in [(2, 1), (3, 1), (4, 3), (3, 2)]:
@@ -117,6 +101,25 @@ class TestComponentSignature:
         for i in range(1, profile.l):
             if owner(profile)[i] == owner(profile)[i - 1]:
                 assert z[i] == z[i - 1]
+
+
+def diagonal_rank_matrix(profile, i1, i2):
+    """The normal matrix with the diagonal test row e_{i1} - e_{i2} adjoined:
+    the literal matrix whose rank ``width_one_by_rank`` decides."""
+    l = profile.l
+    if not 0 <= i1 < i2 < l:
+        raise DomainError(f"need 0 <= i1 < i2 < {l}, got ({i1}, {i2})")
+    third = [0] * l
+    third[i1] = 1
+    third[i2] = -1
+    return IntMat.from_rows(a_delta(profile).to_rows() + [third])
+
+
+def expected_kernel_dimension(a):
+    """Dimension l - r of the kernel locus attached to a zero-row-sum matrix."""
+    if any(a.row_sums()):
+        raise DomainError("matrix rows must sum to zero (A @ 1 == 0)")
+    return a.cols - rank(a)
 
 
 class TestRankCriterion:

@@ -5,11 +5,9 @@ from severi_lattice import severi
 from severi_lattice.lattices import Z2
 from severi_lattice.polygons import LatticePolygon
 from severi_lattice.severi import BoundaryProfile
-from severi_lattice.verify import (
-    random_gl_h,
-    random_unimodular,
-    run_verification,
-)
+from severi_lattice.verify import random_unimodular, run_verification
+
+from helpers import random_gl_h
 
 
 def test_battery_passes_on_small_corpus():
