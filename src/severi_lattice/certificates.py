@@ -41,25 +41,26 @@ def owner(profile: BoundaryProfile) -> tuple[int, ...]:
     return tuple(f.index for f in profile.facets for _ in range(f.length))
 
 
-def component_signature(profile: BoundaryProfile) -> tuple[int, ...]:
+def component_signature(
+    profile: BoundaryProfile, normals: IntMat | None = None
+) -> tuple[int, ...]:
     """Torsion-order test vector z = R2(Q) @ A / idx from the HSNF certificate.
 
-    The certificate row combination is exactly divisible by the index, sums
-    to zero, and is constant on facet blocks; any failure is reported as an
-    internal invariant violation.  The certificate (hence z's overall sign)
-    is pinned by the deterministic pivot rule of the reduction engine.
+    ``normals`` is the profile's ``a_delta``, for a caller that has built it
+    already.  The certificate row combination is exactly divisible by the
+    index, sums to zero, and is constant on facet blocks; any failure is
+    reported as an internal invariant violation.  The certificate (hence
+    z's overall sign) is pinned by the deterministic pivot rule of the
+    reduction engine.
     """
-    matrix = a_delta(profile)
-    cert = hsnf(matrix)
-    raw = matrix.vec_mat(cert.Q.row(1))
-    z: list[int] = []
-    for v in raw:
-        quot, rem = divmod(v, profile.idx)
-        if rem:
-            raise InvariantViolation(
-                f"signature {raw} is not divisible by the index {profile.idx}"
-            )
-        z.append(quot)
+    matrix = a_delta(profile) if normals is None else normals
+    q0, q1 = hsnf(matrix).Q.row(1)
+    xs, ys = matrix.to_rows()
+    raw = tuple(q0 * x + q1 * y for x, y in zip(xs, ys))
+    idx = profile.idx
+    if any(v % idx for v in raw):
+        raise InvariantViolation(f"signature {raw} is not divisible by the index {idx}")
+    z = [v // idx for v in raw]
     if sum(z) != 0:
         raise InvariantViolation(f"signature {z} does not sum to zero")
     owners = owner(profile)

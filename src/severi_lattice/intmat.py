@@ -134,11 +134,6 @@ class IntMat(Record):
             raise DomainError("vector length must match column count")
         return tuple(sum(x * y for x, y in zip(self.row(i), v)) for i in range(self.rows))
 
-    def vec_mat(self, v: Sequence[int]) -> tuple[int, ...]:
-        if len(v) != self.rows:
-            raise DomainError("vector length must match row count")
-        return tuple(sum(x * y for x, y in zip(self.col(j), v)) for j in range(self.cols))
-
     def row_sums(self) -> tuple[int, ...]:
         c = self.cols
         e = self.entries

@@ -109,14 +109,21 @@ def brute_force_width(
     sup_norm, |dy| <= sup_norm and the first nonzero coordinate positive,
     ties going to the lexicographically smallest direction.
 
-    The scan skips only directions that cannot be minimizers.  With
-    sup_norm >= 1 the box holds (1, 0) and (0, 1), so every minimizer n has
-    w(n) <= W = min(w(1, 0), w(0, 1)).  With e = top vertex - bottom
-    vertex, w(n) >= |n.e|, since n.top and n.bottom are two of the values
-    whose spread is w(n).  So a minimizer has |dx*e_x + dy*e_y| <= W: for
-    each dx an interval of dy of length 2W/e_y <= 2 (e_y = w(0, 1) >= W),
-    which holds at most three integers.  Every skipped direction is wider
-    than W, so it neither wins nor ties.  O(sup_norm * vertices).
+    The scan skips only directions that cannot be minimizers.  Let
+    e = top vertex - bottom vertex and f = rightmost vertex - leftmost
+    vertex, so e_y = w(0, 1) and f_x = w(1, 0).  With sup_norm >= 1 the box
+    holds (1, 0) and (0, 1), so every minimizer n has w(n) <= W =
+    min(f_x, e_y).  For any two vertices u, v, n.u and n.v are two of the
+    values whose spread is w(n), so w(n) >= |n.(u - v)|; hence a minimizer
+    lies in both strips |n.e| <= W and |n.f| <= W.  For each dx the e-strip
+    is an interval of dy of length 2W / e_y <= 2 (at most three integers),
+    and only the dy of it that the f-strip also holds are evaluated.  The
+    two strips also bound dx: n.e = a and n.f = b give dx = (a*f_y -
+    b*e_y) / det(e, f) by Cramer's rule, so dx <= W * (|f_y| + e_y) /
+    |det(e, f)| unless e and f are parallel.  When f_y = 0 this reads
+    dx * f_x <= W, so dx <= 1, as f_x >= W.  Every skipped direction is
+    wider than W, so it neither wins nor ties.  O(sup_norm + vertices *
+    evaluated directions); no Gauss reduction.
     """
     verts = polygon.vertices
 
@@ -126,13 +133,23 @@ def brute_force_width(
 
     top = max(verts, key=lambda v: v[1])
     bottom = min(verts, key=lambda v: v[1])
+    right = max(verts, key=lambda v: v[0])
+    left = min(verts, key=lambda v: v[0])
     ex, ey = top[0] - bottom[0], top[1] - bottom[1]
-    bound = min(spread(1, 0), spread(0, 1))
+    fx, fy = right[0] - left[0], right[1] - left[1]
+    bound = min(fx, ey)
+    if fy < 0:  # the strip |n.f| <= W is the same for -f
+        fx, fy = -fx, -fy
+    det = ex * fy - ey * fx
+    dx_max = min(sup_norm, bound * (fy + ey) // abs(det)) if det else sup_norm
     best: tuple[int, Point] | None = None
-    for dx in range(0, sup_norm + 1):
-        # -bound <= dx*ex + dy*ey <= bound, with ey >= 1
+    for dx in range(0, dx_max + 1):
+        # -W <= dx*ex + dy*ey <= W with ey >= 1, and the same for f if fy > 0
         lo = max(-sup_norm, -((bound + dx * ex) // ey))
         hi = min(sup_norm, (bound - dx * ex) // ey)
+        if fy:
+            lo = max(lo, -((bound + dx * fx) // fy))
+            hi = min(hi, (bound - dx * fx) // fy)
         for dy in range(lo, hi + 1):
             if dx == 0 and dy <= 0:
                 continue

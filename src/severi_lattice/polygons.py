@@ -214,9 +214,14 @@ class LatticePolygon:
         """Interior lattice points that lie in the given affine lattice.
 
         Test and verification oracle only, built on the ``interior_points``
-        scan; ``interior_count_in`` gives the count in O(vertices).
+        scan and cached per lattice; ``interior_count_in`` gives the count
+        in O(vertices).
         """
-        return tuple(p for p in self.interior_points() if lattice.contains(p))
+        key = ("interior", lattice)
+        if key not in self._cache:
+            has = lattice._has  # the scan's points are integer pairs
+            self._cache[key] = tuple(p for p in self.interior_points() if has(p))
+        return self._cache[key]
 
     def interior_count_in(self, lattice: AffineLattice2) -> int:
         """Number of interior points in ``lattice``, by Pick's theorem in it.
@@ -253,7 +258,8 @@ class LatticePolygon:
         if rem:
             return False
         inside = len(self.interior_points_in(lattice))
-        border = sum(1 for p in self.boundary_points() if lattice.contains(p))
+        has = lattice._has
+        border = sum(1 for p in self.boundary_points() if has(p))
         return t2 == 2 * inside + border - 2
 
     def lattice_width(self, lattice: AffineLattice2) -> tuple[int, Point]:

@@ -13,9 +13,9 @@ from collections.abc import Callable
 from itertools import chain
 
 from . import severi
-from .certificates import a_delta, component_signature, owner, width_one_by_rank
+from .certificates import a_delta, component_signature, width_one_by_rank
 from .corpus import CorpusSpec, enumerate_corpus, random_polygon
-from .errors import DomainError
+from .errors import DomainError, InvariantViolation
 from .intmat import IntMat, invariant_factors, minor_gcd
 from .lattices import Z2, AffineLattice2
 from .oracles import brute_force_width, count_components_oracle
@@ -154,7 +154,11 @@ def run_verification(
     One pass per corpus polygon: its boundary profile is built once and M0
     classified once, and the formula count and the descriptors derive from
     them, as in ``analyze``; the oracle count and the other checks keep
-    their own paths.  Each polygon leaves the corpus list once it is
+    their own paths.  The literal 2 x l normal matrix is built once and
+    serves both the invariant factors and the signature, and the point
+    scan in M0 runs once (the polygon caches it per lattice).  The
+    signature row records an ``InvariantViolation`` from
+    ``component_signature`` as its failure.  Each polygon leaves the corpus list once it is
     checked, so its caches are released then, not at the end of the run.
     """
     if trials < 0:
@@ -216,16 +220,14 @@ def run_verification(
             lambda: f"{poly!r}: pair {pair}, width {w_m0}",
         )
 
-        z = component_signature(profile)
-        owners = owner(profile)
-        blocks_ok = all(
-            z[i] == z[i - 1]
-            for i in range(1, len(owners))
-            if owners[i] == owners[i - 1]
-        )
-        signature.record(
-            sum(z) == 0 and blocks_ok, lambda: f"{poly!r}: z = {z}"
-        )
+        # z must be divisible by idx, sum to zero and be constant on facet
+        # blocks; component_signature raises on the first that fails
+        try:
+            component_signature(profile, normals)
+            broken = None
+        except InvariantViolation as exc:
+            broken = f"{poly!r}: {exc}"
+        signature.record(broken is None, lambda: broken)
 
         base = len(poly.interior_points_in(profile.m0))
         mono_ok = True

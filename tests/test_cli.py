@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import severi_lattice.cli
 import severi_lattice.oracles
@@ -13,6 +18,7 @@ from severi_lattice.cli import (
     MATRIX_MAX_COLS,
     MATRIX_MAX_ENTRY,
     MATRIX_MAX_ROWS,
+    _build_parser,
     _dump,
     main,
 )
@@ -403,3 +409,134 @@ class TestLatticeJson:
     def test_round_trip(self):
         lat = AffineLattice2.from_generators((3, 1), [(2, 0), (1, 3)])
         assert AffineLattice2.from_json_dict(lat.to_json_dict()) == lat
+
+
+def run_main(argv):
+    """Exit code, stdout and stderr of one in-process ``main`` call; an
+    argparse exit (usage error or help) gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+SMALL = st.integers(-3, 3)
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    SMALL,
+    st.integers(-(10**30), 10**30),
+    st.text(max_size=3),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def near_valid_documents(draw):
+    """A valid polygon or matrix document (a matrix with zero row sums half
+    of the time, for hsnf), or one with a field replaced by a bool, float,
+    huge int or a value of the wrong shape."""
+    if draw(st.booleans()):
+        pairs = st.tuples(SMALL, SMALL).map(list)
+        doc = {"vertices": draw(st.lists(pairs, min_size=3, max_size=7))}
+    else:
+        r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        rows = draw(st.lists(st.lists(SMALL, min_size=c, max_size=c), min_size=r, max_size=r))
+        if draw(st.booleans()):
+            rows = [row + [-sum(row)] for row in rows]
+        doc = {"rows": r, "cols": len(rows[0]), "entries": rows}
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(doc)))
+        doc[key] = draw(JSON_VALUES)
+    elif draw(st.booleans()):
+        key = "vertices" if "vertices" in doc else "entries"
+        items = doc[key]
+        items[draw(st.integers(0, len(items) - 1))] = draw(JSON_VALUES)
+    return doc
+
+
+PAYLOADS = st.one_of(
+    st.binary(max_size=64),
+    st.one_of(near_valid_documents(), JSON_VALUES).map(lambda d: json.dumps(d).encode()),
+)
+FILE_COMMANDS = (
+    ["analyze"], ["count"], ["count", "--oracle"], ["components"], ["snf"], ["hsnf"],
+)
+ARGV_TOKENS = st.one_of(
+    st.sampled_from(
+        ["analyze", "count", "components", "snf", "hsnf", "corpus", "verify",
+         "--pretty", "--oracle", "--max-coord", "--limit", "--out", "--dedup",
+         "--trials", "--seed", "-h", "--help", "--", "-", "translation", "none",
+         "-1", "0", "1", "2", "7", "x", "1.5", "", "missing.json"]
+    ),
+    # no path separators: every file the CLI writes stays in the working directory
+    st.text(st.characters(exclude_characters="/\\"), max_size=6),
+)
+
+
+def quick(argv) -> bool:
+    """Whether ``argv`` is no full-size corpus or verify run: those take
+    seconds to minutes by design, and their defaults are max-coord 4 and
+    100 trials."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit:
+            return True
+    if args.command == "verify":
+        return args.max_coord <= 2 and args.trials <= 2
+    if args.command == "corpus":
+        return args.max_coord <= 2
+    return True
+
+
+class TestFuzz:
+    """No input file or argument list gives a traceback."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(FILE_COMMANDS), PAYLOADS)
+    def test_input_files(self, command, payload):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "in.json")
+            with open(path, "wb") as fh:
+                fh.write(payload)
+            code, out, err = run_main([*command, path])
+        assert code in (0, 1), err
+        if code == 1:
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1, err
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(ARGV_TOKENS, max_size=6),
+            st.builds(
+                lambda command, rest: [command, *rest],
+                st.sampled_from(["analyze", "count", "components", "snf", "hsnf", "corpus", "verify"]),
+                st.lists(ARGV_TOKENS, max_size=5),
+            ),
+        )
+    )
+    def test_argv(self, argv):
+        assume(quick(argv))
+        with tempfile.TemporaryDirectory() as d:
+            cwd = os.getcwd()
+            os.chdir(d)
+            try:
+                code, out, err = run_main(argv)
+            finally:
+                os.chdir(cwd)
+        # argparse usage errors print the usage line too: no one-line rule here
+        assert code in (0, 1, 2), (code, err)
+        assert "Traceback" not in err

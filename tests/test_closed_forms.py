@@ -16,7 +16,9 @@
 
 Inputs: every polygon of corpus max-coord 4 (3 for the profile) plus
 random polygons with |coordinate| <= 60 (100 for the box scan) drawn by
-hypothesis.
+hypothesis; the box scan also gets polygons that stress its second strip
+(leftmost and rightmost vertex on one row, ties on every side of the
+bounding box, long thin triangles, the 504-divisor triangle).
 """
 
 import random
@@ -236,15 +238,20 @@ class TestReducedWidth:
 
     def test_long_thin_polygons(self):
         # minimal directions far from the axes need several reduction steps
-        rng = random.Random(7)
-        for _ in range(200):
-            a, b = rng.randint(1, 60), rng.randint(-60, 60)
-            if gcd(a, b) != 1:
-                continue
-            k = rng.randint(1, 3)
-            apex = (rng.randint(-3, 3), 1)
-            poly = LatticePolygon(convex_hull([(0, 0), (a * k, b * k), apex]))
+        for poly in long_thin_polygons():
             assert _width_of_vertices(poly.vertices) == square_scan_width(poly.vertices)
+
+
+def long_thin_polygons():
+    """Thin triangles along a primitive direction (a, b), seeded."""
+    rng = random.Random(7)
+    for _ in range(200):
+        a, b = rng.randint(1, 60), rng.randint(-60, 60)
+        if gcd(a, b) != 1:
+            continue
+        k = rng.randint(1, 3)
+        apex = (rng.randint(-3, 3), 1)
+        yield LatticePolygon(convex_hull([(0, 0), (a * k, b * k), apex]))
 
 
 class TestPrunedBoxScan:
@@ -252,16 +259,63 @@ class TestPrunedBoxScan:
 
     SUP_NORMS = (1, 2, 7, 25)
 
+    def assert_full_box(self, poly):
+        for s in self.SUP_NORMS:
+            assert brute_force_width(poly, s) == full_box_width(poly, s), (poly, s)
+
     def test_corpus4(self, corpus4):
         for poly in corpus4:
-            for s in self.SUP_NORMS:
-                assert brute_force_width(poly, s) == full_box_width(poly, s), (poly, s)
+            self.assert_full_box(poly)
 
     @settings(max_examples=500, deadline=None)
     @given(polygons(bound=100))
     def test_random(self, poly):
-        for s in self.SUP_NORMS:
-            assert brute_force_width(poly, s) == full_box_width(poly, s)
+        self.assert_full_box(poly)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 80),
+        st.integers(0, 30),
+        st.integers(0, 30),
+        st.integers(1, 79),
+        st.integers(1, 79),
+    )
+    def test_leftmost_and_rightmost_on_one_row(self, a, up, down, p, q):
+        # f_y = 0: the f-strip bounds dx by W / f_x instead of bounding dy
+        assume(up or down)
+        points = [(0, 0), (a, 0), (min(p, a - 1), up), (min(q, a - 1), -down)]
+        poly = LatticePolygon(convex_hull(points))
+        assert poly.vertices[0] == (0, 0) and (a, 0) in poly.vertices
+        self.assert_full_box(poly)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.lists(st.integers(0, 40), min_size=4, max_size=4),
+    )
+    def test_ties_on_every_side_of_the_box(self, a, b, cuts):
+        # a rectangle with its corners cut has an edge on each side of its
+        # bounding box unless two cuts meet: two top, two bottom, two
+        # leftmost and two rightmost vertices; each rotation of the vertex
+        # list starts at another vertex, so the ties break another way
+        c1, c2, c3, c4 = (c % (min(a, b) // 2 + 1) for c in cuts)
+        hull = convex_hull(
+            [(c1, 0), (a - c2, 0), (a, c2), (a, b - c3), (a - c3, b), (c4, b),
+             (0, b - c4), (0, c1)]
+        )
+        for k in range(len(hull)):
+            self.assert_full_box(LatticePolygon(hull[k:] + hull[:k]))
+
+    def test_long_thin_polygons(self):
+        # e and f nearly parallel: the two strips cross at a narrow angle
+        for poly in long_thin_polygons():
+            self.assert_full_box(poly)
+
+    def test_bound_scale_triangle(self):
+        # the 504-divisor triangle at the coordinate bound
+        poly = LatticePolygon([(9619, 6855), (-5695, 545), (-3738, -1400)])
+        assert brute_force_width(poly, 25) == full_box_width(poly, 25)
 
 
 class TestRowWalk:

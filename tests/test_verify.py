@@ -1,7 +1,8 @@
 import random
 from collections import Counter
 
-from severi_lattice import severi
+from severi_lattice import certificates, severi
+from severi_lattice.intmat import HsnfResult, IntMat
 from severi_lattice.lattices import Z2
 from severi_lattice.polygons import LatticePolygon
 from severi_lattice.severi import BoundaryProfile
@@ -78,6 +79,26 @@ class TestOnePass:
         assert not report.ok
         check = self._check(report, "count formula vs oracle")
         assert check.passed == 0 and check.failed > 0
+
+    def test_wrong_certificate_fails_the_signature_check(self, monkeypatch):
+        # Q's row 1 plus its row 0 no longer gives z = R2(Q) @ A / idx: the
+        # row records the violation instead of the battery aborting on it
+        exact = certificates.hsnf
+
+        def skewed(matrix):
+            cert = exact(matrix)
+            q0, q1 = cert.Q.to_rows()
+            q1 = [a + b for a, b in zip(q0, q1)]
+            return HsnfResult(IntMat.from_rows([q0, q1]), cert.A, cert.P)
+
+        monkeypatch.setattr(certificates, "hsnf", skewed)
+        report = run_verification(max_coord=2, trials=0)
+        assert not report.ok
+        check = self._check(report, "component signature shape")
+        assert check.failed > 0
+        assert check.first_failure.startswith("LatticePolygon(")
+        assert "is not divisible by the index" in check.first_failure
+        assert all(c.failed == 0 for c in report.checks if c is not check)
 
     def test_wrong_n0_fails_the_rotation_check(self, monkeypatch):
         # N0 is the quarter turn of M0 by construction; the battery compares
