@@ -41,19 +41,15 @@ def owner(profile: BoundaryProfile) -> tuple[int, ...]:
     return tuple(f.index for f in profile.facets for _ in range(f.length))
 
 
-def component_signature(
-    profile: BoundaryProfile, normals: IntMat | None = None
-) -> tuple[int, ...]:
+def component_signature(profile: BoundaryProfile) -> tuple[int, ...]:
     """Torsion-order test vector z = R2(Q) @ A / idx from the HSNF certificate.
 
-    ``normals`` is the profile's ``a_delta``, for a caller that has built it
-    already.  The certificate row combination is exactly divisible by the
-    index, sums to zero, and is constant on facet blocks; any failure is
-    reported as an internal invariant violation.  The certificate (hence
-    z's overall sign) is pinned by the deterministic pivot rule of the
-    reduction engine.
+    The certificate row combination is exactly divisible by the index, sums
+    to zero, and is constant on facet blocks; any failure is reported as an
+    internal invariant violation.  The certificate (hence z's overall sign)
+    is pinned by the deterministic pivot rule of the reduction engine.
     """
-    matrix = a_delta(profile) if normals is None else normals
+    matrix = a_delta(profile)
     q0, q1 = hsnf(matrix).Q.row(1)
     xs, ys = matrix.to_rows()
     raw = tuple(q0 * x + q1 * y for x, y in zip(xs, ys))

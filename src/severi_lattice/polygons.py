@@ -213,15 +213,12 @@ class LatticePolygon:
     def interior_points_in(self, lattice: AffineLattice2) -> tuple[Point, ...]:
         """Interior lattice points that lie in the given affine lattice.
 
-        Test and verification oracle only, built on the ``interior_points``
-        scan and cached per lattice; ``interior_count_in`` gives the count
-        in O(vertices).
+        Test and verification oracle only, a filter of the cached
+        ``interior_points`` scan; ``interior_count_in`` gives the count in
+        O(vertices).
         """
-        key = ("interior", lattice)
-        if key not in self._cache:
-            has = lattice._has  # the scan's points are integer pairs
-            self._cache[key] = tuple(p for p in self.interior_points() if has(p))
-        return self._cache[key]
+        has = lattice._has  # the scan's points are integer pairs
+        return tuple(p for p in self.interior_points() if has(p))
 
     def interior_count_in(self, lattice: AffineLattice2) -> int:
         """Number of interior points in ``lattice``, by Pick's theorem in it.

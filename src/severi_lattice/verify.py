@@ -154,12 +154,10 @@ def run_verification(
     One pass per corpus polygon: its boundary profile is built once and M0
     classified once, and the formula count and the descriptors derive from
     them, as in ``analyze``; the oracle count and the other checks keep
-    their own paths.  The literal 2 x l normal matrix is built once and
-    serves both the invariant factors and the signature, and the point
-    scan in M0 runs once (the polygon caches it per lattice).  The
-    signature row records an ``InvariantViolation`` from
-    ``component_signature`` as its failure.  Each polygon leaves the corpus list once it is
-    checked, so its caches are released then, not at the end of the run.
+    their own paths.  The signature row records an ``InvariantViolation``
+    from ``component_signature`` as its failure.  Each polygon leaves the
+    corpus list once it is checked, so its caches are released then, not
+    at the end of the run.
     """
     if trials < 0:
         raise DomainError("trials must be nonnegative")
@@ -223,7 +221,7 @@ def run_verification(
         # z must be divisible by idx, sum to zero and be constant on facet
         # blocks; component_signature raises on the first that fails
         try:
-            component_signature(profile, normals)
+            component_signature(profile)
             broken = None
         except InvariantViolation as exc:
             broken = f"{poly!r}: {exc}"

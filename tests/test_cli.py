@@ -480,8 +480,9 @@ ARGV_TOKENS = st.one_of(
          "--trials", "--seed", "-h", "--help", "--", "-", "translation", "none",
          "-1", "0", "1", "2", "7", "x", "1.5", "", "missing.json"]
     ),
-    # no path separators: every file the CLI writes stays in the working directory
-    st.text(st.characters(exclude_characters="/\\"), max_size=6),
+    # no path separators and no dots, so no token names "..": every file the
+    # CLI writes stays in the working directory
+    st.text(st.characters(exclude_characters="/\\."), max_size=6),
 )
 
 
