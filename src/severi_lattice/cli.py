@@ -113,7 +113,7 @@ def _cmd_normal_form(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    spec = CorpusSpec(args.max_coord, args.dedup, args.limit)
+    spec = CorpusSpec(args.max_coord, args.limit)
     # compact JSON lines, as _dump writes them, without building the lists
     docs = (
         '{"vertices":[' + ",".join(f"[{x},{y}]" for x, y in poly.vertices) + "]}\n"
@@ -186,7 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-coord", type=int, required=True)
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--out", default=None, help="write one file per polygon")
-    p.add_argument("--dedup", choices=("translation", "none"), default="translation")
     p.set_defaults(func=_cmd_corpus)
 
     p = sub.add_parser("verify", help="run the verification battery")

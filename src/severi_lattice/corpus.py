@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator, Sequence
 from functools import cmp_to_key
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import gcd
 
 from ._record import Record
@@ -38,14 +38,12 @@ MAX_EXHAUSTIVE_COORD = 6  # desk-scale bound for exhaustive enumeration
 
 
 class CorpusSpec(Record):
-    """Parameters of an exhaustive corpus run."""
+    """Parameters of an exhaustive corpus run: one polygon per translation
+    class in the box, at most ``limit`` of them."""
 
-    # dedup: "translation" (one per class) or "none" (every placement in the box)
-    __slots__ = ("max_coordinate", "dedup", "limit")
+    __slots__ = ("max_coordinate", "limit")
 
-    def __init__(
-        self, max_coordinate: int, dedup: str = "translation", limit: int | None = None
-    ) -> None:
+    def __init__(self, max_coordinate: int, limit: int | None = None) -> None:
         if max_coordinate < 1:
             raise DomainError("max_coordinate must be positive")
         if max_coordinate > MAX_EXHAUSTIVE_COORD:
@@ -53,12 +51,9 @@ class CorpusSpec(Record):
                 f"exhaustive enumeration is bounded at max_coordinate <= "
                 f"{MAX_EXHAUSTIVE_COORD}"
             )
-        if dedup not in ("translation", "none"):
-            raise DomainError(f"unknown dedup mode {dedup!r}")
         if limit is not None and limit < 0:
             raise DomainError("limit must be nonnegative")
         object.__setattr__(self, "max_coordinate", max_coordinate)
-        object.__setattr__(self, "dedup", dedup)
         object.__setattr__(self, "limit", limit)
 
 
@@ -192,25 +187,8 @@ def iter_corpus(spec: CorpusSpec) -> Iterator[LatticePolygon]:
 
     The enumerator's vertex tuples are counterclockwise, strictly convex
     and inside the box already, so they skip validation."""
-    produced = 0
-    bound = spec.max_coordinate
-    for verts in _edge_classes(bound):
-        placements: list[tuple[Point, ...]]
-        if spec.dedup == "translation":
-            placements = [verts]
-        else:
-            bw = max(x for x, _ in verts)
-            bh = max(y for _, y in verts)
-            placements = [
-                tuple((x + ox, y + oy) for x, y in verts)
-                for ox in range(bound - bw + 1)
-                for oy in range(bound - bh + 1)
-            ]
-        for placed in placements:
-            if spec.limit is not None and produced >= spec.limit:
-                return
-            produced += 1
-            yield LatticePolygon._trusted(placed)
+    for verts in islice(_edge_classes(spec.max_coordinate), spec.limit):
+        yield LatticePolygon._trusted(verts)
 
 
 def enumerate_corpus(spec: CorpusSpec) -> list[LatticePolygon]:

@@ -34,11 +34,8 @@ __all__ = [
     "snf",
     "hsnf",
     "hsnf_form",
-    "is_snf",
-    "is_hsnf",
     "invariant_factors",
     "minor_gcd",
-    "rank",
 ]
 
 
@@ -86,24 +83,10 @@ class IntMat(Record):
     def identity(cls, n: int) -> "IntMat":
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMat":
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise DomainError(f"index ({i}, {j}) out of range")
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple[int, ...]:
         if not 0 <= i < self.rows:
             raise DomainError(f"row {i} out of range")
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def col(self, j: int) -> tuple[int, ...]:
-        if not 0 <= j < self.cols:
-            raise DomainError(f"column {j} out of range")
-        return self.entries[j :: self.cols]
 
     def to_rows(self) -> list[list[int]]:
         c = self.cols
@@ -111,11 +94,6 @@ class IntMat(Record):
 
     def to_cols(self) -> list[list[int]]:
         return [list(self.entries[j :: self.cols]) for j in range(self.cols)]
-
-    def transpose(self) -> "IntMat":
-        c = self.cols
-        flat = tuple(chain.from_iterable(self.entries[j::c] for j in range(c)))
-        return IntMat._trusted(c, self.rows, flat)
 
     def __matmul__(self, other: "IntMat") -> "IntMat":
         if self.cols != other.rows:
@@ -129,24 +107,10 @@ class IntMat(Record):
                 flat.append(sum(x * y for x, y in zip(ra, cb)))
         return IntMat._trusted(self.rows, other.cols, tuple(flat))
 
-    def mat_vec(self, v: Sequence[int]) -> tuple[int, ...]:
-        if len(v) != self.cols:
-            raise DomainError("vector length must match column count")
-        return tuple(sum(x * y for x, y in zip(self.row(i), v)) for i in range(self.rows))
-
     def row_sums(self) -> tuple[int, ...]:
         c = self.cols
         e = self.entries
         return tuple([sum(e[i : i + c]) for i in range(0, len(e), c)])
-
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
-    def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise DomainError("determinant of a non-square matrix")
-        return _det_rows(self.to_rows(), self.rows)
 
     def to_json_dict(self) -> dict:
         return {"rows": self.rows, "cols": self.cols, "entries": self.to_rows()}
@@ -181,11 +145,6 @@ class SnfResult(Record):
         object.__setattr__(self, "D", D)
         object.__setattr__(self, "P", P)
 
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(
-            self.D.entry(i, i) for i in range(min(self.D.rows, self.D.cols))
-        )
-
 
 class HsnfResult(Record):
     """Certified homogeneous Smith normal form: Q @ X == A @ P, P @ 1 == 1."""
@@ -196,11 +155,6 @@ class HsnfResult(Record):
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "P", P)
-
-    def superdiagonal(self) -> tuple[int, ...]:
-        return tuple(
-            self.A.entry(i, i + 1) for i in range(min(self.A.rows, self.A.cols - 1))
-        )
 
 
 def _det_rows(m: list[list[int]], n: int) -> int:
@@ -475,17 +429,12 @@ def _invariant_chain(rows: list[list[int]]) -> list[int]:
 
 
 def invariant_factors(x: IntMat) -> tuple[int, ...]:
-    """The invariant factors (a_1, ..., a_r) of ``x``; r == rank(x).
+    """The invariant factors (a_1, ..., a_r) of ``x``; r is its rank.
 
     Certificate-free: Bezout elimination and a divisor chain, sharing no
     code with the certified ``snf``.
     """
     return tuple(_invariant_chain(x.to_rows()))
-
-
-def rank(x: IntMat) -> int:
-    """Rank over the rationals (equals the number of invariant factors)."""
-    return len(invariant_factors(x))
 
 
 def minor_gcd(x: IntMat, k: int) -> int:
@@ -508,31 +457,6 @@ def minor_gcd(x: IntMat, k: int) -> int:
     return g
 
 
-def is_snf(d: IntMat) -> bool:
-    """True iff ``d`` is diagonal with positive divisor-chain entries first."""
-    diag: list[int] = []
-    for i in range(d.rows):
-        for j in range(d.cols):
-            v = d.entry(i, j)
-            if i != j:
-                if v:
-                    return False
-            else:
-                diag.append(v)
-    seen_zero = False
-    prev = None
-    for v in diag:
-        if v == 0:
-            seen_zero = True
-        else:
-            if seen_zero or v < 0:
-                return False
-            if prev is not None and v % prev:
-                return False
-            prev = v
-    return True
-
-
 def _erase_first_col(x: IntMat) -> IntMat:
     c = x.cols
     e = x.entries
@@ -541,15 +465,6 @@ def _erase_first_col(x: IntMat) -> IntMat:
         c - 1,
         tuple(chain.from_iterable(e[i + 1 : i + c] for i in range(0, len(e), c))),
     )
-
-
-def is_hsnf(a: IntMat) -> bool:
-    """True iff ``a`` has zero row sums and its first-column erasure is in SNF."""
-    if any(a.row_sums()):
-        return False
-    if a.cols == 1:
-        return True  # zero rows sums force the zero column, erasure is empty
-    return is_snf(_erase_first_col(a))
 
 
 def _require_homogeneous(x: IntMat) -> None:

@@ -15,11 +15,11 @@ Every operation works in closed form on the canonical triangle
 ``(d1, e, d2)``, O(1) per lattice: a translation reduces the new
 basepoint, a quarter turn and each lattice between ``l0`` and Z^2
 (``l0 + (idx/d) Z^2``) are one ``_canonical_basis`` reduction of a few
-generators, an index is a quotient of determinants, and ``Z^2 / l0`` is
-cyclic iff ``gcd(d1, e, d2) == 1``.  Input is validated where it enters
-(``from_generators``, ``from_json_dict``, ``contains``, ``translate``,
-``affine_span``); values this module computes are canonical by
-construction and skip both that check and the constructor's.
+generators, the index in Z^2 is ``d1 * d2``, and ``Z^2 / l0`` is cyclic
+iff ``gcd(d1, e, d2) == 1``.  Input is validated where it enters
+(``from_generators``, ``contains``, ``translate``, ``affine_span``);
+values this module computes are canonical by construction and skip both
+that check and the constructor's.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "AffineLattice2",
     "Z2",
     "affine_span",
-    "lattice_index",
     "rotate90",
     "intermediate_lattices",
     "divisors",
@@ -116,10 +115,6 @@ class AffineLattice2(Record):
         object.__setattr__(self, "basis", basis)
 
     @classmethod
-    def standard(cls) -> "AffineLattice2":
-        return cls((0, 0), ((1, 0), (0, 1)))
-
-    @classmethod
     def from_generators(
         cls, basepoint: Sequence[int], gens: Iterable[Sequence[int]]
     ) -> "AffineLattice2":
@@ -183,32 +178,11 @@ class AffineLattice2(Record):
             "basis": [list(self.basis[0]), list(self.basis[1])],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "AffineLattice2":
-        try:
-            bp = data["basepoint"]
-            basis = data["basis"]
-        except (TypeError, KeyError) as exc:
-            raise DomainError(f"lattice JSON needs basepoint/basis: {exc}") from exc
-        if not (
-            isinstance(bp, (list, tuple))
-            and isinstance(basis, (list, tuple))
-            and len(basis) == 2
-            and all(isinstance(r, (list, tuple)) and len(r) == 2 for r in basis)
-        ):
-            raise DomainError(
-                "lattice JSON needs basepoint [x, y] and basis [[d1, e], [0, d2]]"
-            )
-        (d1, e), (z, d2) = basis
-        if z != 0:
-            raise DomainError("lattice basis must be upper triangular")
-        return cls.from_generators(bp, [(d1, 0), (e, d2)])
-
     def __str__(self) -> str:
         return f"{self.basepoint} + <({self.d1},0), ({self.e},{self.d2})>"
 
 
-Z2 = AffineLattice2.standard()
+Z2 = AffineLattice2((0, 0), ((1, 0), (0, 1)))
 
 
 def affine_span(points: Sequence[Sequence[int]]) -> AffineLattice2:
@@ -240,19 +214,6 @@ def _in_basis(lat: AffineLattice2, vector: Point) -> Point:
 def _require_linear(lat: AffineLattice2, what: str) -> None:
     if not lat.is_linear:
         raise DomainError(f"{what} expects a linear lattice (basepoint 0)")
-
-
-def lattice_index(sub: AffineLattice2, sup: AffineLattice2) -> int:
-    """Index ``[sup : sub]`` of one linear lattice inside another."""
-    _require_linear(sub, "lattice_index")
-    _require_linear(sup, "lattice_index")
-    for g in sub.generators():
-        if not sup._has(g):
-            raise DomainError(f"{sub} is not contained in {sup}")
-    quot, rem = divmod(sub.index_in_z2, sup.index_in_z2)
-    if rem:
-        raise DomainError("containment violated (non-integral index)")
-    return quot
 
 
 def rotate90(lat: AffineLattice2) -> AffineLattice2:

@@ -90,12 +90,10 @@ def _angle_less(u: Point, v: Point) -> bool:
 class LatticePolygon:
     """Strictly convex lattice polygon, vertices counterclockwise."""
 
-    __slots__ = ("_vertices", "_collapsed", "_cache")
+    __slots__ = ("_vertices", "_cache")
 
     def __init__(self, points: Sequence[Sequence[int]]):
-        verts, collapsed = _validate(points)
-        self._vertices = verts
-        self._collapsed = collapsed
+        self._vertices = _validate(points)
         self._cache: dict = {}
 
     @classmethod
@@ -106,18 +104,12 @@ class LatticePolygon:
         runs."""
         poly = object.__new__(cls)
         poly._vertices = vertices
-        poly._collapsed = ()
         poly._cache = {}
         return poly
 
     @property
     def vertices(self) -> tuple[Point, ...]:
         return self._vertices
-
-    @property
-    def collapsed_points(self) -> tuple[Point, ...]:
-        """Input points that sat on the interior of an edge and were merged."""
-        return self._collapsed
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LatticePolygon) and self._vertices == other._vertices
@@ -312,7 +304,7 @@ class LatticePolygon:
         return InteriorClassification.TWICE_PRIMITIVE_TRIANGLE
 
 
-def _validate(points: Sequence[Sequence[int]]) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
+def _validate(points: Sequence[Sequence[int]]) -> tuple[Point, ...]:
     if len(points) < 3:
         raise DomainError("a polygon needs at least 3 points")
     pts: list[Point] = []
@@ -336,27 +328,22 @@ def _validate(points: Sequence[Sequence[int]]) -> tuple[tuple[Point, ...], tuple
         # normalize to counterclockwise, keeping the first point first
         pts = [pts[0]] + pts[:0:-1]
 
-    # collapse points lying on the straight continuation of their edge
-    collapsed: list[Point] = []
-    changed = True
-    while changed:
-        changed = False
-        m = len(pts)
-        if m < 3:
-            raise DomainError("fewer than 3 effective vertices after collapse")
-        for i in range(m):
-            prev, cur, nxt = pts[i - 1], pts[i], pts[(i + 1) % m]
-            if _cross(prev, cur, nxt) == 0:
-                ax, ay = cur[0] - prev[0], cur[1] - prev[1]
-                bx, by = nxt[0] - cur[0], nxt[1] - cur[1]
-                if ax * bx + ay * by <= 0:
-                    raise DomainError("self-intersecting traversal (edge backtracks)")
-                collapsed.append(cur)
-                del pts[i]
-                changed = True
-                break
-    if len(pts) < 3:
-        raise DomainError("fewer than 3 effective vertices after collapse")
+    # collapse points lying on the straight continuation of their edge, in
+    # one pass over the input's neighbour triples: dropping such a point
+    # leaves each neighbour's triple as collinear, and as backtracking, as
+    # it was.  Dropping them keeps the closed path and so its nonzero area,
+    # hence at least three corners.
+    corners: list[Point] = []
+    for i, cur in enumerate(pts):
+        prev, nxt = pts[i - 1], pts[(i + 1) % n]
+        if _cross(prev, cur, nxt):
+            corners.append(cur)
+            continue
+        ax, ay = cur[0] - prev[0], cur[1] - prev[1]
+        bx, by = nxt[0] - cur[0], nxt[1] - cur[1]
+        if ax * bx + ay * by <= 0:
+            raise DomainError("self-intersecting traversal (edge backtracks)")
+    pts = corners
 
     m = len(pts)
     for i in range(m):
@@ -371,7 +358,7 @@ def _validate(points: Sequence[Sequence[int]]) -> tuple[tuple[Point, ...], tuple
     descents = sum(1 for i in range(m) if not _angle_less(edges[i], edges[(i + 1) % m]))
     if descents != 1:
         raise DomainError("self-intersecting traversal (winds more than once)")
-    return tuple(pts), tuple(collapsed)
+    return tuple(pts)
 
 
 def _width_of_vertices(verts: Sequence[Point]) -> tuple[int, Point]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from . import oracles
 from ._record import Record
-from .errors import DomainError, InvariantViolation
+from .errors import InvariantViolation
 from .lattices import (
     AffineLattice2,
     divisors,
@@ -40,7 +40,6 @@ __all__ = [
     "build_profile",
     "enumerate_components",
     "count_components",
-    "severi_dimension",
     "analyze",
 ]
 
@@ -108,8 +107,6 @@ class ComponentDescriptor(Record):
         "N",  # intermediate linear lattice, n0 <= N <= Z^2
         "M",  # paired affine lattice (rotated linear part, m0 basepoint)
         "d",  # [N : n0]; also the torsion order of the marked divisor class
-        "index_in_z2",  # [Z^2 : N] == idx / d
-        "torsion_order",
         "interior_count",  # |interior(polygon) ∩ M|
         "is_empty_locus",  # excised: the kernel locus is empty
         "excluded_nonbirational",  # excised: its curves are non-birational covers
@@ -117,15 +114,12 @@ class ComponentDescriptor(Record):
     )
 
     def __init__(
-        self, N: AffineLattice2, M: AffineLattice2, d: int, index_in_z2: int,
-        torsion_order: int, interior_count: int, is_empty_locus: bool,
-        excluded_nonbirational: bool, contributes: bool,
+        self, N: AffineLattice2, M: AffineLattice2, d: int, interior_count: int,
+        is_empty_locus: bool, excluded_nonbirational: bool, contributes: bool,
     ) -> None:
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "index_in_z2", index_in_z2)
-        object.__setattr__(self, "torsion_order", torsion_order)
         object.__setattr__(self, "interior_count", interior_count)
         object.__setattr__(self, "is_empty_locus", is_empty_locus)
         object.__setattr__(self, "excluded_nonbirational", excluded_nonbirational)
@@ -134,8 +128,8 @@ class ComponentDescriptor(Record):
     def to_json_dict(self) -> dict:
         return {
             "d": self.d,
-            "torsion_order": self.torsion_order,
-            "index_in_z2": self.index_in_z2,
+            "torsion_order": self.d,
+            "index_in_z2": self.N.index_in_z2,
             "N": self.N.to_json_dict(),
             "M": self.M.to_json_dict(),
             "interior_count": self.interior_count,
@@ -186,8 +180,6 @@ def _descriptors(
                 N=n_lat,
                 M=m_lat,
                 d=d,
-                index_in_z2=profile.idx // d,
-                torsion_order=d,
                 interior_count=polygon.interior_count_in(m_lat),
                 is_empty_locus=empty,
                 excluded_nonbirational=excluded,
@@ -207,35 +199,24 @@ def _formula_count(
     return n
 
 
-def severi_dimension(polygon: LatticePolygon, genus: int) -> int:
-    """Dimension of the genus-g Severi variety: l + g - 1, l the facet lengths' sum."""
-    if genus < 0:
-        raise DomainError("genus must be nonnegative")
-    return sum(f.length for f in polygon.facets()) + genus - 1
-
-
 class SeveriReport(Record):
     """Aggregate analysis of one polygon."""
 
     __slots__ = (
-        "polygon", "l", "severi_dim", "facets", "idx", "divisor_list", "m0", "n0",
-        "width_m0", "width_m0_direction", "classification_m0", "components",
-        "component_count",
+        "polygon", "l", "facets", "idx", "m0", "n0", "width_m0",
+        "width_m0_direction", "classification_m0", "components", "component_count",
     )
 
     def __init__(
-        self, polygon: LatticePolygon, l: int, severi_dim: int,
-        facets: tuple[Facet, ...], idx: int, divisor_list: tuple[int, ...],
+        self, polygon: LatticePolygon, l: int, facets: tuple[Facet, ...], idx: int,
         m0: AffineLattice2, n0: AffineLattice2, width_m0: int,
         width_m0_direction: Point, classification_m0: InteriorClassification,
         components: tuple[ComponentDescriptor, ...], component_count: int,
     ) -> None:
         object.__setattr__(self, "polygon", polygon)
         object.__setattr__(self, "l", l)
-        object.__setattr__(self, "severi_dim", severi_dim)
         object.__setattr__(self, "facets", facets)
         object.__setattr__(self, "idx", idx)
-        object.__setattr__(self, "divisor_list", divisor_list)
         object.__setattr__(self, "m0", m0)
         object.__setattr__(self, "n0", n0)
         object.__setattr__(self, "width_m0", width_m0)
@@ -248,10 +229,11 @@ class SeveriReport(Record):
         return {
             "polygon": {"vertices": [list(v) for v in self.polygon.vertices]},
             "l": self.l,
-            "severi_dimension": self.severi_dim,
+            # l + g - 1 at genus g = 1
+            "severi_dimension": self.l,
             "facets": [f.to_json_dict() for f in self.facets],
             "idx": self.idx,
-            "divisors": list(self.divisor_list),
+            "divisors": [c.d for c in self.components],
             "m0": self.m0.to_json_dict(),
             "n0": self.n0.to_json_dict(),
             "lattice_width_m0": {
@@ -290,10 +272,8 @@ def analyze(polygon: LatticePolygon) -> SeveriReport:
     return SeveriReport(
         polygon=polygon,
         l=profile.l,
-        severi_dim=severi_dimension(polygon, 1),
         facets=profile.facets,
         idx=profile.idx,
-        divisor_list=tuple(c.d for c in components),
         m0=profile.m0,
         n0=profile.n0,
         width_m0=width,

@@ -1,10 +1,11 @@
 """Reference code that only the tests use: random matrices of the GL^h
-machinery and a lattice frame map written apart from the library's."""
+machinery, the Smith form built from the invariant factors, and a lattice
+frame map written apart from the library's."""
 
 import random
 
 from severi_lattice.errors import DomainError
-from severi_lattice.intmat import IntMat
+from severi_lattice.intmat import IntMat, invariant_factors
 from severi_lattice.polygons import LatticePolygon
 
 
@@ -30,6 +31,15 @@ def random_gl_h(n: int, rng: random.Random, max_ops: int = 20) -> IntMat:
             i, j = rng.sample(range(n), 2)
             rows[i], rows[j] = rows[j], rows[i]
     return IntMat.from_rows(rows)
+
+
+def smith_form(x: IntMat) -> IntMat:
+    """The Smith normal form of ``x``: its invariant factors, from the
+    certificate-free kernel, down the diagonal of a zero matrix of its shape."""
+    flat = [0] * (x.rows * x.cols)
+    for i, v in enumerate(invariant_factors(x)):
+        flat[i * x.cols + i] = v
+    return IntMat(x.rows, x.cols, tuple(flat))
 
 
 def random_homogeneous_matrix(

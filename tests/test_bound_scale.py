@@ -6,10 +6,12 @@ the oracle's span of all of them; the profile is O(facets), interior
 counts come from Pick's theorem and the width from Gauss reduction, so
 nothing grows with the area (up to 2 * 10^8).  The budget leaves room
 for hosts that run two or more times slower than a quiet one, where each
-polygon takes under 0.1 s.
+polygon takes under 0.1 s.  Validating an input with 2 * 10^4 points on
+one edge is a single pass over the points, with a budget of 0.5 s.
 """
 
 import time
+from math import gcd
 
 import pytest
 
@@ -65,3 +67,29 @@ def test_width_one(vertices):
     assert report.width_m0 == 1
     assert [c.interior_count for c in report.components] == [0]
     assert report.component_count == 0
+
+
+def test_collinear_input_collapses_in_one_pass():
+    # 508 corners: the bottom corners (-R, -R) and (R, -R), and an upper
+    # chain between them whose 253 rising edges are the primitive vectors
+    # (a, b) with the smallest a + b, steepest first, then one horizontal
+    # edge, then the rising edges mirrored; the 19,999 lattice points inside
+    # the bottom edge follow the corners
+    rising = sorted(
+        ((a, s - a) for s in range(2, 30) for a in range(1, s) if gcd(a, s - a) == 1),
+        key=lambda v: (v[0] + v[1], v[0]),
+    )[:253]
+    rising.sort(key=lambda v: v[0] / v[1])
+    top = 2 * R - 2 * sum(a for a, _ in rising)
+    edges = rising + [(top, 0)] + [(a, -b) for a, b in reversed(rising)]
+    chain = [(-R, -R)]
+    for dx, dy in edges:
+        chain.append((chain[-1][0] + dx, chain[-1][1] + dy))
+    assert chain[-1] == (R, -R) and len(chain) == 508
+    corners = chain[::-1]  # counterclockwise from (R, -R)
+    points = corners + [(x, -R) for x in range(-R + 1, R)]
+    started = time.perf_counter()
+    poly = LatticePolygon(points)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 0.5, f"validation took {elapsed:.2f}s, budget 0.5s"
+    assert poly.vertices == tuple(corners)

@@ -107,21 +107,31 @@ def square_scan_width(verts):
     return best
 
 
-def full_box_width(poly, sup_norm):
-    """Every primitive direction of the sup-norm box, as brute_force_width
-    scanned before it skipped the directions that cannot be minimizers."""
-    best = None
-    for dx in range(0, sup_norm + 1):
-        for dy in range(-sup_norm, sup_norm + 1):
-            if dx == 0 and dy <= 0:
-                continue
-            if gcd(dx, abs(dy)) != 1:
-                continue
-            vals = [dx * x + dy * y for (x, y) in poly.vertices]
-            w = max(vals) - min(vals)
-            d = (dx, dy)
-            if best is None or w < best[0] or (w == best[0] and d < best[1]):
-                best = (w, d)
+# every primitive direction of the largest box brute_force_width is asked
+# about, first coordinate positive or (0, 1), in lexicographic order, with
+# its sup norm
+BOX_DIRECTIONS = [
+    (max(dx, abs(dy)), dx, dy)
+    for dx in range(0, 26)
+    for dy in range(-25, 26)
+    if (dx or dy > 0) and gcd(dx, abs(dy)) == 1
+]
+
+
+def full_box_widths(poly, sup_norms):
+    """For each sup norm, the width over every primitive direction of its
+    box and the lexicographically first direction attaining it, as
+    brute_force_width scanned before it skipped the directions that cannot
+    be minimizers; one pass over the largest box serves every norm."""
+    best = dict.fromkeys(sup_norms)
+    verts = poly.vertices
+    for norm, dx, dy in BOX_DIRECTIONS:
+        vals = [dx * x + dy * y for (x, y) in verts]
+        w = max(vals) - min(vals)
+        for s in sup_norms:
+            # directions come in lexicographic order: a tie keeps the first
+            if norm <= s and (best[s] is None or w < best[s][0]):
+                best[s] = (w, (dx, dy))
     return best
 
 
@@ -260,8 +270,9 @@ class TestPrunedBoxScan:
     SUP_NORMS = (1, 2, 7, 25)
 
     def assert_full_box(self, poly):
+        want = full_box_widths(poly, self.SUP_NORMS)
         for s in self.SUP_NORMS:
-            assert brute_force_width(poly, s) == full_box_width(poly, s), (poly, s)
+            assert brute_force_width(poly, s) == want[s], (poly, s)
 
     def test_corpus4(self, corpus4):
         for poly in corpus4:
@@ -315,7 +326,7 @@ class TestPrunedBoxScan:
     def test_bound_scale_triangle(self):
         # the 504-divisor triangle at the coordinate bound
         poly = LatticePolygon([(9619, 6855), (-5695, 545), (-3738, -1400)])
-        assert brute_force_width(poly, 25) == full_box_width(poly, 25)
+        assert brute_force_width(poly, 25) == full_box_widths(poly, (25,))[25]
 
 
 class TestRowWalk:

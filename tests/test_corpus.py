@@ -44,8 +44,6 @@ class TestSpec:
         with pytest.raises(DomainError):
             CorpusSpec(max_coordinate=7)
         with pytest.raises(DomainError):
-            CorpusSpec(max_coordinate=2, dedup="rotation")
-        with pytest.raises(DomainError):
             CorpusSpec(max_coordinate=2, limit=-1)
 
 
@@ -93,17 +91,6 @@ class TestEnumeration:
         b = enumerate_corpus(CorpusSpec(max_coordinate=2))
         assert [p.vertices for p in a] == [p.vertices for p in b]
 
-    def test_dedup_none_counts_placements(self):
-        classes = enumerate_corpus(CorpusSpec(max_coordinate=2))
-        placed = enumerate_corpus(CorpusSpec(max_coordinate=2, dedup="none"))
-        expected = 0
-        for poly in classes:
-            bw = max(x for x, _ in poly.vertices)
-            bh = max(y for _, y in poly.vertices)
-            expected += (2 - bw + 1) * (2 - bh + 1)
-        assert len(placed) == expected
-        assert len({p.vertices for p in placed}) == len(placed)
-
     def test_every_polygon_fits_box(self):
         for poly in enumerate_corpus(CorpusSpec(max_coordinate=2)):
             for x, y in poly.vertices:
@@ -129,17 +116,14 @@ class TestTrustedPolygons:
     """Corpus polygons skip validation; validating them changes nothing."""
 
     @pytest.mark.parametrize(
-        "spec",
-        [CorpusSpec(max_coordinate=4), CorpusSpec(max_coordinate=3, dedup="none")],
-        ids=["max-coord-4", "max-coord-3-dedup-none"],
+        "spec", [CorpusSpec(max_coordinate=4)], ids=["max-coord-4"]
     )
     def test_validation_returns_them_unchanged(self, spec):
         count = 0
         for poly in iter_corpus(spec):
             assert LatticePolygon(poly.vertices) == poly
-            assert poly.collapsed_points == ()
             count += 1
-        assert count == {4: 17978, 3: 2719}[spec.max_coordinate]
+        assert count == 17978
 
 
 class TestConvexHull:

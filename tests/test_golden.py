@@ -27,9 +27,8 @@ CLI_SNF_SHA256 = "9e908fabdeab0787650d44071f22edb6b16b853e47f195930d5028f705e8a0
 CLI_HSNF_SHA256 = "22f27fc45a9bc9c8c07ec23d9a913705705c49b86705cfb5b38fe6e1bda4e191"
 # stdout of severi verify --max-coord 3 --trials 10 --seed 0
 CLI_VERIFY_SHA256 = "4356def34613b4c021a59db5657c137860794334a1bffb04534d50bf0b2eb933"
-# stdout of severi corpus --max-coord 4, and --max-coord 3 --dedup none
+# stdout of severi corpus --max-coord 4
 CLI_CORPUS4_SHA256 = "27a5a2c913eeb240a67c0660ce4b75568b81e2c597bcff94f1b888f5ea401363"
-CLI_CORPUS3_NONE_SHA256 = "82e1a59d7c9899fe00a8c083fe1aa3bfb5391d301c406c7857f8eb694d7f55d2"
 # repr of each vertex tuple of iter_corpus(max-coord 5), one per line
 CORPUS5_VERTICES_SHA256 = "2523be18a3096aee8bf96cd3938d8ea10ef3f78971480fe8d4304a55392ee1ff"
 
@@ -136,9 +135,8 @@ def test_cli_verify_digest(capsys):
     "argv, lines, expected",
     [
         (["--max-coord", "4"], 17978, CLI_CORPUS4_SHA256),
-        (["--max-coord", "3", "--dedup", "none"], 2719, CLI_CORPUS3_NONE_SHA256),
     ],
-    ids=["max-coord-4", "max-coord-3-dedup-none"],
+    ids=["max-coord-4"],
 )
 def test_cli_corpus_digest(argv, lines, expected, capsys):
     capsys.readouterr()

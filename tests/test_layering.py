@@ -1,9 +1,10 @@
 """Import boundaries between the package's modules, read from the source.
 
 The closed forms and the oracles that check them must share no code, and
-the analyze path must not depend on the normal-form engine.  Each module
-is parsed with ``ast``, so these checks see what the source says, not what
-happens to be loaded.
+the analyze path must not depend on the normal-form engine; every public
+name has a caller in the package or the benchmark, not only in the tests.
+Each module is parsed with ``ast``, so these checks see what the source
+says, not what happens to be loaded.
 """
 
 import ast
@@ -16,6 +17,7 @@ import pytest
 import severi_lattice
 
 PACKAGE = Path(severi_lattice.__file__).parent
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 PRODUCTION = ("lattices", "polygons", "corpus", "severi")
 # Pick's theorem, the area, the Gauss reduction, the basis frame they read a
@@ -172,3 +174,74 @@ def test_the_cli_imports_no_dataclasses_typing_or_pathlib():
         check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+def _public(module: str) -> list[str]:
+    for node in _tree(module).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def package_uses() -> set[str]:
+    """Names the package's source reads, each outside the top-level
+    definition of the same name; ``__all__`` lists strings, not names."""
+    out: set[str] = set()
+    for module in MODULES:
+        for top in _tree(module).body:
+            own = getattr(top, "name", None)  # a def or class defines it
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    out.add(name)
+    return out
+
+
+def benchmark_uses() -> set[str]:
+    """Library names the benchmark reaches: ``module.name`` on a package
+    module, names imported from the package, and the names the tracer
+    wraps, from its ``FUNCTIONS`` and ``POLYGON_METHODS`` tables."""
+    out: set[str] = set()
+    for path in PERFBENCH.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in MODULES:
+                    out.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                if (node.module or "").split(".")[0] == "severi_lattice":
+                    out.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Assign) and path.name == "tracer.py":
+                targets = {t.id for t in node.targets if isinstance(t, ast.Name)}
+                if targets & {"FUNCTIONS", "POLYGON_METHODS"}:
+                    table = ast.literal_eval(node.value)
+                    if isinstance(table, dict):  # layer -> function names
+                        table = [name for names in table.values() for name in names]
+                    out.update(table)
+    return out
+
+
+def test_the_reader_of_the_benchmark_sees_what_it_calls():
+    uses = benchmark_uses()
+    # module attributes, imported classes, and names the tracer wraps
+    assert {"perturb_homogeneous", "convex_hull", "hsnf_form"} <= uses
+    assert {"AffineLattice2", "LatticePolygon"} <= uses
+    assert {"enumerate_components", "interior_points_in"} <= uses
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    used = package_uses() | benchmark_uses()
+    unused = [
+        f"{module}.{name}"
+        for module in MODULES
+        for name in _public(module)
+        if name not in used
+    ]
+    assert unused == []

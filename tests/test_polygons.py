@@ -1,7 +1,8 @@
 import random
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from severi_lattice.corpus import random_polygon
@@ -24,7 +25,37 @@ class TestValidate:
     def test_collinear_points_collapse(self):
         p = LatticePolygon([(0, 0), (1, 0), (2, 0), (0, 2)])
         assert p.vertices == ((0, 0), (2, 0), (0, 2))
-        assert p.collapsed_points == ((1, 0),)
+        # a first point inside an edge leaves the next corner first
+        q = LatticePolygon([(1, 0), (2, 0), (0, 2), (0, 0)])
+        assert q.vertices == ((2, 0), (0, 2), (0, 0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sets(st.integers(0, 9)),
+        st.integers(0, 10**4),
+        st.booleans(),
+    )
+    def test_edge_points_collapse_into_their_corners(self, seed, filled, turn, clockwise):
+        # the lattice points of the edges in ``filled``, inserted between
+        # the corners, starting anywhere, in either orientation
+        corners = random_polygon(random.Random(seed), 8).vertices
+        points = []
+        for i, (x0, y0) in enumerate(corners):
+            x1, y1 = corners[(i + 1) % len(corners)]
+            steps = gcd(x1 - x0, y1 - y0) if i in filled else 1
+            points += [
+                (x0 + (x1 - x0) // steps * t, y0 + (y1 - y0) // steps * t)
+                for t in range(steps)
+            ]
+        k = turn % len(points)
+        points = points[k:] + points[:k]
+        # the counterclockwise traversal from the first input point meets
+        # this corner first
+        j = corners.index(next(p for p in points if p in corners))
+        if clockwise:
+            points = [points[0]] + points[:0:-1]
+        assert LatticePolygon(points).vertices == corners[j:] + corners[:j]
 
     def test_clockwise_input_normalized(self):
         p = LatticePolygon([(0, 0), (0, 3), (3, 0)])

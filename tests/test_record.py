@@ -32,7 +32,7 @@ BUILDERS = {
     "BoundaryProfile": lambda: build_profile(_polygon()),
     "ComponentDescriptor": lambda: enumerate_components(_polygon())[-1],
     "SeveriReport": lambda: analyze(_polygon()),
-    "CorpusSpec": lambda: CorpusSpec(3, "none", 10),
+    "CorpusSpec": lambda: CorpusSpec(3, 10),
 }
 
 
@@ -100,6 +100,6 @@ def test_pickle_and_copy_round_trips(pair):
 def test_repr_is_the_dataclass_format():
     assert repr(Z2) == "AffineLattice2(basepoint=(0, 0), basis=((1, 0), (0, 1)))"
     assert repr(CorpusSpec(2)) == (
-        "CorpusSpec(max_coordinate=2, dedup='translation', limit=None)"
+        "CorpusSpec(max_coordinate=2, limit=None)"
     )
     assert eval(repr(Z2), {"AffineLattice2": AffineLattice2}) == Z2
