@@ -1,20 +1,21 @@
 """Certificates read from the 2 x l normal matrix of a boundary profile.
 
 The production pipeline in ``severi`` works at the level of facets.  The
-per-point views below (``a_delta``, ``owner``) and the certificate APIs
-built on them are used by the verify battery and the tests only; this is
-the one polygon-side module that imports ``intmat``.
+per-point normal matrix ``a_delta`` and the certificate APIs built on it
+are used by the verify battery and the tests only; this is the one
+polygon-side module that imports ``intmat``.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import InvariantViolation
-from .intmat import IntMat, hsnf
+from .intmat import IntMat, hsnf_left
 from .severi import BoundaryProfile
 
 __all__ = [
     "a_delta",
-    "owner",
     "component_signature",
     "width_one_by_rank",
 ]
@@ -33,12 +34,7 @@ def a_delta(profile: BoundaryProfile) -> IntMat:
     for f in profile.facets:
         row_x += [f.normal[0]] * f.length
         row_y += [f.normal[1]] * f.length
-    return IntMat.from_rows([row_x, row_y])
-
-
-def owner(profile: BoundaryProfile) -> tuple[int, ...]:
-    """Index of the facet owning each boundary point, O(l)."""
-    return tuple(f.index for f in profile.facets for _ in range(f.length))
+    return IntMat._trusted(2, len(row_x), tuple(chain(row_x, row_y)))
 
 
 def component_signature(profile: BoundaryProfile) -> tuple[int, ...]:
@@ -47,10 +43,11 @@ def component_signature(profile: BoundaryProfile) -> tuple[int, ...]:
     The certificate row combination is exactly divisible by the index, sums
     to zero, and is constant on facet blocks; any failure is reported as an
     internal invariant violation.  The certificate (hence z's overall sign)
-    is pinned by the deterministic pivot rule of the reduction engine.
+    is pinned by the deterministic pivot rule of the reduction engine; only
+    ``Q`` is read, so only ``Q`` is built (``intmat.hsnf_left``).
     """
     matrix = a_delta(profile)
-    q0, q1 = hsnf(matrix).Q.row(1)
+    q0, q1 = hsnf_left(matrix).row(1)
     xs, ys = matrix.to_rows()
     raw = tuple(q0 * x + q1 * y for x, y in zip(xs, ys))
     idx = profile.idx
@@ -59,10 +56,12 @@ def component_signature(profile: BoundaryProfile) -> tuple[int, ...]:
     z = [v // idx for v in raw]
     if sum(z) != 0:
         raise InvariantViolation(f"signature {z} does not sum to zero")
-    owners = owner(profile)
-    for i in range(1, len(z)):
-        if owners[i] == owners[i - 1] and z[i] != z[i - 1]:
+    start = 0
+    for f in profile.facets:
+        end = start + f.length
+        if z[start:end].count(z[start]) != f.length:
             raise InvariantViolation(f"signature {z} is not constant on facet blocks")
+        start = end
     return tuple(z)
 
 
@@ -73,7 +72,13 @@ def width_one_by_rank(profile: BoundaryProfile) -> tuple[int, int] | None:
     Such a pair exists iff the polygon has width one in the boundary
     lattice.  Rank stays two exactly when e_{i1} - e_{i2} lies in the
     rational row space of the normal matrix, which is decided by solving
-    against two independent columns and verifying the rest.
+    against two independent columns p = 0 and q and verifying the rest.
+
+    Only pairs that hold p or q are tried, in the order of the full search
+    over i1 < i2, so the first pair found is the same.  A pair holding
+    neither has tp = tq = 0, hence m = (0, 0), and the check at column i1
+    asks 0 == det * 1, which fails as det != 0.  That leaves O(l) pairs,
+    (0, i2), (i1, q) and (q, i2), each checked in O(l): O(l^2) in all.
     """
     cols = [f.normal for f in profile.facets for _ in range(f.length)]
     l = len(cols)
@@ -83,19 +88,21 @@ def width_one_by_rank(profile: BoundaryProfile) -> tuple[int, int] | None:
     )
     cp, cq = cols[p], cols[q]
     det = cp[0] * cq[1] - cp[1] * cq[0]
-    for i1 in range(l):
-        c1 = cols[i1]
-        for i2 in range(i1 + 1, l):
-            if cols[i2] == c1:
-                continue  # equal columns force rank three
-            tp = (1 if p == i1 else 0) - (1 if p == i2 else 0)
-            tq = (1 if q == i1 else 0) - (1 if q == i2 else 0)
-            mx = cq[1] * tp - cp[1] * tq
-            my = cp[0] * tq - cq[0] * tp
-            for i, (cx, cy) in enumerate(cols):
-                ti = (1 if i == i1 else 0) - (1 if i == i2 else 0)
-                if mx * cx + my * cy != det * ti:
-                    break
-            else:
-                return (i1, i2)
+    for i1, i2 in chain(
+        ((p, i2) for i2 in range(1, l)),
+        ((i1, q) for i1 in range(1, q)),
+        ((q, i2) for i2 in range(q + 1, l)),
+    ):
+        if cols[i2] == cols[i1]:
+            continue  # equal columns force rank three
+        tp = (1 if p == i1 else 0) - (1 if p == i2 else 0)
+        tq = (1 if q == i1 else 0) - (1 if q == i2 else 0)
+        mx = cq[1] * tp - cp[1] * tq
+        my = cp[0] * tq - cq[0] * tp
+        for i, (cx, cy) in enumerate(cols):
+            ti = (1 if i == i1 else 0) - (1 if i == i2 else 0)
+            if mx * cx + my * cy != det * ti:
+                break
+        else:
+            return (i1, i2)
     return None

@@ -7,11 +7,11 @@ pure functions, safe for unsynchronized concurrent use.
 
 Two kernels, sharing no code:
 
-- certified (``snf``, ``hsnf``): division rounds that pivot on a nonzero
-  entry of minimal absolute value, first occurrence in column-major order,
-  with every operation mirrored on the unimodular certificates; the pivot
-  rule keeps intermediate entries small and makes every certificate
-  deterministic.
+- certified (``snf``, ``hsnf``, ``hsnf_left``): division rounds that pivot
+  on a nonzero entry of minimal absolute value, first occurrence in
+  column-major order, with every operation mirrored on the unimodular
+  certificates; the pivot rule keeps intermediate entries small and makes
+  every certificate deterministic.
 - certificate-free (``invariant_factors``, ``hsnf_form``): extended-gcd
   (Bezout) 2 x 2 unimodular steps that diagonalize the matrix, then
   pairwise ``(gcd, lcm)`` steps that turn the diagonal into a divisor chain.
@@ -33,6 +33,7 @@ __all__ = [
     "HsnfResult",
     "snf",
     "hsnf",
+    "hsnf_left",
     "hsnf_form",
     "invariant_factors",
     "minor_gcd",
@@ -504,6 +505,23 @@ def hsnf(x: IntMat) -> HsnfResult:
         A=IntMat._trusted(s, l, tuple(a_flat)),
         P=IntMat._trusted(l, l, tuple(p_flat)),
     )
+
+
+def hsnf_left(x: IntMat) -> IntMat:
+    """The left certificate ``Q`` of ``hsnf(x)`` alone.
+
+    Requires zero row sums.  Runs the same certified reduction on the same
+    first-column erasure, with ``P``'s column operations mirrored onto empty
+    rows: no decision of the reduction reads ``P``, so the pivots, the row
+    operations and hence ``Q`` are exactly those of ``hsnf(x)``, without
+    building ``P`` or ``A``.
+    """
+    _require_homogeneous(x)
+    s, l = x.rows, x.cols
+    q = [[1 if i == j else 0 for j in range(s)] for i in range(s)]
+    if l > 1:
+        _smith_reduce(x.to_cols()[1:], s, l - 1, q, [[] for _ in range(l - 1)])
+    return IntMat._trusted(s, s, tuple(chain.from_iterable(q)))
 
 
 def hsnf_form(x: IntMat) -> IntMat:

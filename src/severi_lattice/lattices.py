@@ -147,9 +147,6 @@ class AffineLattice2(Record):
         """Index of the linear part in Z^2 (determinant of the basis)."""
         return self.d1 * self.d2
 
-    def generators(self) -> tuple[Point, Point]:
-        return ((self.d1, 0), (self.e, self.d2))
-
     def linear_part(self) -> "AffineLattice2":
         (d1, e), (_, d2) = self.basis
         return _canonical((0, 0), d1, e, d2)

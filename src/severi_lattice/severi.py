@@ -52,8 +52,8 @@ class BoundaryProfile(Record):
     Held at the level of facets: ``m0`` is the affine span of the boundary
     points, ``n0`` the linear span of the primitive inner normals; the two
     are exchanged by a quarter turn, and ``idx == [Z^2 : n0]``.  The
-    per-point views (``certificates.a_delta``, ``certificates.owner``) are
-    built from the facets where they are read.
+    per-point normal matrix (``certificates.a_delta``) is built from the
+    facets where it is read.
     """
 
     __slots__ = ("polygon", "facets", "m0", "n0", "idx")

@@ -1,11 +1,14 @@
 """Reference code that only the tests use: random matrices of the GL^h
-machinery, the Smith form built from the invariant factors, and a lattice
-frame map written apart from the library's."""
+machinery, the Smith form built from the invariant factors, a lattice
+frame map written apart from the library's, and the certificate rows as
+they were first written (the signature from the full ``hsnf``, the rank
+test over every pair)."""
 
 import random
 
-from severi_lattice.errors import DomainError
-from severi_lattice.intmat import IntMat, invariant_factors
+from severi_lattice.certificates import a_delta
+from severi_lattice.errors import DomainError, InvariantViolation
+from severi_lattice.intmat import IntMat, hsnf, invariant_factors
 from severi_lattice.polygons import LatticePolygon
 
 
@@ -73,3 +76,56 @@ def frame(lattice, point):
 def image_in(polygon, lattice):
     """The polygon in the frame of ``lattice``, which it sees as Z^2."""
     return LatticePolygon([frame(lattice, v) for v in polygon.vertices])
+
+
+def owner(profile):
+    """Index of the facet owning each boundary point, O(l)."""
+    return tuple(f.index for f in profile.facets for _ in range(f.length))
+
+
+def reference_signature(profile):
+    """``component_signature`` read from the full certified ``hsnf``: row 1
+    of its ``Q`` against the normal matrix, divided by the index, checked
+    against the facet owner of each column."""
+    matrix = a_delta(profile)
+    q0, q1 = hsnf(matrix).Q.row(1)
+    xs, ys = matrix.to_rows()
+    raw = tuple(q0 * x + q1 * y for x, y in zip(xs, ys))
+    idx = profile.idx
+    if any(v % idx for v in raw):
+        raise InvariantViolation(f"signature {raw} is not divisible by the index {idx}")
+    z = [v // idx for v in raw]
+    if sum(z) != 0:
+        raise InvariantViolation(f"signature {z} does not sum to zero")
+    owners = owner(profile)
+    for i in range(1, len(z)):
+        if owners[i] == owners[i - 1] and z[i] != z[i - 1]:
+            raise InvariantViolation(f"signature {z} is not constant on facet blocks")
+    return tuple(z)
+
+
+def reference_width_one_pair(profile):
+    """``width_one_by_rank`` over every pair i1 < i2: solve the test row
+    e_{i1} - e_{i2} against columns 0 and q, then check every column."""
+    cols = [f.normal for f in profile.facets for _ in range(f.length)]
+    l = len(cols)
+    p = 0
+    q = next(
+        j for j in range(1, l) if cols[0][0] * cols[j][1] - cols[0][1] * cols[j][0]
+    )
+    cp, cq = cols[p], cols[q]
+    det = cp[0] * cq[1] - cp[1] * cq[0]
+    for i1 in range(l):
+        for i2 in range(i1 + 1, l):
+            if cols[i2] == cols[i1]:
+                continue
+            tp = (1 if p == i1 else 0) - (1 if p == i2 else 0)
+            tq = (1 if q == i1 else 0) - (1 if q == i2 else 0)
+            mx = cq[1] * tp - cp[1] * tq
+            my = cp[0] * tq - cq[0] * tp
+            if all(
+                mx * cx + my * cy == det * ((i == i1) - (i == i2))
+                for i, (cx, cy) in enumerate(cols)
+            ):
+                return (i1, i2)
+    return None

@@ -9,6 +9,7 @@ from severi_lattice.intmat import (
     IntMat,
     hsnf,
     hsnf_form,
+    hsnf_left,
     invariant_factors,
     minor_gcd,
     snf,
@@ -236,12 +237,15 @@ class TestHsnfExamples:
             hsnf(IntMat.from_rows([[1, 0], [0, 1]]))
         with pytest.raises(DomainError):
             hsnf_form(IntMat.from_rows([[1, 1]]))
+        with pytest.raises(DomainError):
+            hsnf_left(IntMat.from_rows([[1, 1]]))
 
     def test_single_column(self):
         x = IntMat(2, 1, (0, 0))
         res = hsnf(x)
         assert res.A == x and res.P == IntMat.identity(1)
         assert hsnf_form(x) == x
+        assert hsnf_left(x) == res.Q == IntMat.identity(2)
 
     def test_is_hsnf_examples(self):
         # a matrix is in HSNF iff both kernels leave it as it is
@@ -339,6 +343,18 @@ class TestHsnfProperties:
     @given(homogeneous_matrices())
     def test_fast_form_matches_certified_form(self, x):
         assert hsnf_form(x) == hsnf(x).A
+
+    @settings(max_examples=150, deadline=None)
+    @given(homogeneous_matrices())
+    def test_left_certificate_alone_is_hsnf_q(self, x):
+        assert hsnf_left(x) == hsnf(x).Q
+
+    def test_left_certificate_alone_on_criterion_4_shapes(self):
+        # r <= 6 rows, c <= 8 columns plus the balancing one, |entry| <= 9
+        rng = random.Random(20260809)
+        for _ in range(3000):
+            x = random_homogeneous_matrix(rng)
+            assert hsnf_left(x) == hsnf(x).Q
 
 
 def test_random_homogeneous_matrix_has_zero_row_sums():

@@ -1,3 +1,7 @@
+"""Canonical affine lattices.  A lattice's generators are the columns
+(d1, 0) and (e, d2) of its basis [[d1, e], [0, d2]], read here as
+``zip(*lat.basis)``."""
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,13 +71,13 @@ class TestCanonicalForm:
             lat = AffineLattice2.linear_from_generators(gens)
         except DomainError:
             return  # rank-deficient sample
-        again = AffineLattice2.linear_from_generators(lat.generators())
+        again = AffineLattice2.linear_from_generators(zip(*lat.basis))
         assert lat == again
 
     @settings(max_examples=100, deadline=None)
     @given(linear_lattices(), st.tuples(st.integers(-20, 20), st.integers(-20, 20)))
     def test_basepoint_reduction_is_canonical(self, lat, shift):
-        g1, g2 = lat.generators()
+        g1, g2 = zip(*lat.basis)
         p = (shift[0], shift[1])
         q = (p[0] + 3 * g1[0] - 2 * g2[0], p[1] + 3 * g1[1] - 2 * g2[1])
         a = lat.translate(p)
@@ -99,7 +103,7 @@ class TestSpanAndMembership:
     @settings(max_examples=100, deadline=None)
     @given(linear_lattices(), st.integers(-5, 5), st.integers(-5, 5))
     def test_generated_points_are_members(self, lat, s, t):
-        g1, g2 = lat.generators()
+        g1, g2 = zip(*lat.basis)
         assert lat.contains((s * g1[0] + t * g2[0], s * g1[1] + t * g2[1]))
 
     @settings(max_examples=60, deadline=None)
@@ -127,7 +131,7 @@ class TestSpanAndMembership:
         if idx > 12:
             return  # keep the exhaustive candidate scan desk-scale
         base = lat.basepoint
-        g1, g2 = lat.generators()
+        g1, g2 = zip(*lat.basis)
         for d1 in range(1, idx + 1):
             for d2 in range(1, idx // d1 + 1):
                 for e in range(d1):
@@ -159,7 +163,7 @@ class TestIndices:
             (even_lattice(), even_lattice(), 1),
             (two_z2, even_lattice(), 2),
         ):
-            assert all(sup.contains(g) for g in sub.generators())
+            assert all(sup.contains(g) for g in zip(*sub.basis))
             assert divmod(sub.index_in_z2, sup.index_in_z2) == (index, 0)
 
     @settings(max_examples=80, deadline=None)
@@ -170,7 +174,7 @@ class TestIndices:
         except DomainError:
             return  # non-cyclic quotient
         for mid in mids:
-            assert all(mid.contains(g) for g in lat.generators())
+            assert all(mid.contains(g) for g in zip(*lat.basis))
             assert lat.index_in_z2 % mid.index_in_z2 == 0
 
 
@@ -204,7 +208,7 @@ class TestIntermediates:
         mids = intermediate_lattices(l6)
         assert [l6.index_in_z2 // m.index_in_z2 for m in mids] == [1, 2, 3, 6]
         for mid in mids:
-            for g in l6.generators():
+            for g in zip(*l6.basis):
                 assert mid.contains(g)
 
     def test_non_cyclic_rejected(self):
@@ -230,7 +234,7 @@ class TestIntermediates:
                 if (d1 * d2) and idx % (d1 * d2) == 0:
                     for e in range(d1):
                         cand = AffineLattice2((0, 0), ((d1, e), (0, d2)))
-                        if all(cand.contains(g) for g in lat.generators()):
+                        if all(cand.contains(g) for g in zip(*lat.basis)):
                             found.add(cand)
         assert found == set(mids)
         assert len(mids) == len(divisors(idx))
@@ -238,12 +242,12 @@ class TestIntermediates:
 
 def reference_rotate90(lat):
     return AffineLattice2.linear_from_generators(
-        [(-g[1], g[0]) for g in lat.generators()]
+        [(-g[1], g[0]) for g in zip(*lat.basis)]
     )
 
 
 def reference_translate(lat, point):
-    return AffineLattice2.from_generators(point, lat.generators())
+    return AffineLattice2.from_generators(point, zip(*lat.basis))
 
 
 def reference_span(points):
@@ -332,7 +336,7 @@ class TestClosedForms:
         assert got == want
         for d, mid in zip(divisors(lat.index_in_z2), got):
             assert_canonical(mid)
-            assert all(mid.contains(g) for g in lat.generators())
+            assert all(mid.contains(g) for g in zip(*lat.basis))
             assert lat.index_in_z2 == d * mid.index_in_z2
 
     @pytest.mark.parametrize(

@@ -121,10 +121,20 @@ def _names(node: ast.AST, name: str) -> bool:
     return False
 
 
+CERTIFIED = ("_smith_reduce", "snf", "hsnf", "hsnf_left")
+CERTIFICATE_FREE = {
+    "intmat.invariant_factors",
+    "intmat.hsnf_form",
+    "intmat._invariant_chain",
+}
+
+
 def test_only_snf_reaches_the_certified_reduction():
     # invariant_factors and hsnf_form must not fall back on the certified
     # kernel, or comparing them with snf would compare it with itself
-    assert referrers("_smith_reduce") == {"intmat.snf"}
+    assert referrers("_smith_reduce") == {"intmat.snf", "intmat.hsnf_left"}
+    for name in CERTIFIED:
+        assert not referrers(name) & CERTIFICATE_FREE, name
 
 
 def trusted_builders() -> dict[str, set[str]]:
@@ -242,6 +252,43 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         f"{module}.{name}"
         for module in MODULES
         for name in _public(module)
+        if name not in used
+    ]
+    assert unused == []
+
+
+def public_methods(module: str) -> list[tuple[str, str]]:
+    """``(class, name)`` for each public method and property of the classes
+    that ``module`` lists in ``__all__``."""
+    exported = set(_public(module))
+    return [
+        (cls.name, item.name)
+        for cls in _tree(module).body
+        if isinstance(cls, ast.ClassDef) and cls.name in exported
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+    ]
+
+
+def benchmark_attributes() -> set[str]:
+    """Every attribute name the benchmark reads, on any object: it calls
+    methods on the values the library returns, and the tracer patches
+    ``AffineLattice2.contains`` on the class."""
+    return {
+        node.attr
+        for path in PERFBENCH.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+    }
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    used = package_uses() | benchmark_uses() | benchmark_attributes()
+    unused = [
+        f"{module}.{cls}.{name}"
+        for module in MODULES
+        for cls, name in public_methods(module)
         if name not in used
     ]
     assert unused == []

@@ -3,15 +3,11 @@ from collections import Counter
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
 
 import severi_lattice.polygons
 import severi_lattice.severi
-from severi_lattice.certificates import (
-    a_delta,
-    component_signature,
-    owner,
-    width_one_by_rank,
-)
+from severi_lattice.certificates import a_delta, component_signature, width_one_by_rank
 from severi_lattice.corpus import CorpusSpec, iter_corpus, random_polygon
 from severi_lattice.errors import DomainError, InvariantViolation
 from severi_lattice.intmat import IntMat, invariant_factors
@@ -25,6 +21,9 @@ from severi_lattice.severi import (
     enumerate_components,
 )
 from severi_lattice.verify import _random_image_in_bounds
+
+from helpers import owner, reference_signature, reference_width_one_pair
+from test_closed_forms import polygons
 
 
 class TestBuildProfile:
@@ -92,6 +91,30 @@ class TestComponentSignature:
         for i in range(1, profile.l):
             if owner(profile)[i] == owner(profile)[i - 1]:
                 assert z[i] == z[i - 1]
+
+
+class TestCertificateRowsMatchTheirReferences:
+    """The signature read from ``Q`` alone equals the one read from the full
+    ``hsnf``, exact z, and the rank test over the pairs that hold a pivot
+    column finds the same first pair as the search over every pair."""
+
+    def test_signature_on_corpus3(self):
+        for poly in iter_corpus(CorpusSpec(max_coordinate=3)):
+            profile = build_profile(poly)
+            assert component_signature(profile) == reference_signature(profile), poly
+
+    def test_width_one_pair_on_corpus4(self, corpus4):
+        for poly in corpus4:
+            profile = build_profile(poly)
+            pair = width_one_by_rank(profile)
+            assert pair == reference_width_one_pair(profile), poly
+
+    @settings(max_examples=200, deadline=None)
+    @given(polygons(bound=30))
+    def test_random(self, poly):
+        profile = build_profile(poly)
+        assert component_signature(profile) == reference_signature(profile)
+        assert width_one_by_rank(profile) == reference_width_one_pair(profile)
 
 
 def diagonal_rank_matrix(profile, i1, i2):
@@ -355,7 +378,7 @@ class TestSinglePass:
             assert [c.d for c in report.components] == divisors(report.idx)
             for c in report.components:
                 # d == [N : n0]
-                assert all(c.N.contains(g) for g in report.n0.generators())
+                assert all(c.N.contains(g) for g in zip(*report.n0.basis))
                 assert report.n0.index_in_z2 == c.d * c.N.index_in_z2
             assert report.component_count == sum(
                 c.contributes for c in report.components

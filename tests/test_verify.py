@@ -2,7 +2,7 @@ import random
 from collections import Counter
 
 from severi_lattice import certificates, severi
-from severi_lattice.intmat import HsnfResult, IntMat, minor_gcd
+from severi_lattice.intmat import IntMat, minor_gcd
 from severi_lattice.lattices import Z2
 from severi_lattice.polygons import LatticePolygon
 from severi_lattice.severi import BoundaryProfile
@@ -83,15 +83,14 @@ class TestOnePass:
     def test_wrong_certificate_fails_the_signature_check(self, monkeypatch):
         # Q's row 1 plus its row 0 no longer gives z = R2(Q) @ A / idx: the
         # row records the violation instead of the battery aborting on it
-        exact = certificates.hsnf
+        exact = certificates.hsnf_left
 
         def skewed(matrix):
-            cert = exact(matrix)
-            q0, q1 = cert.Q.to_rows()
+            q0, q1 = exact(matrix).to_rows()
             q1 = [a + b for a, b in zip(q0, q1)]
-            return HsnfResult(IntMat.from_rows([q0, q1]), cert.A, cert.P)
+            return IntMat.from_rows([q0, q1])
 
-        monkeypatch.setattr(certificates, "hsnf", skewed)
+        monkeypatch.setattr(certificates, "hsnf_left", skewed)
         report = run_verification(max_coord=2, trials=0)
         assert not report.ok
         check = self._check(report, "component signature shape")
