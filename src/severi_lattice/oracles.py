@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from math import gcd
 
+from .errors import DomainError
 from .lattices import AffineLattice2, affine_span, intermediate_lattices
 from .polygons import Facet, LatticePolygon
 
@@ -123,8 +124,11 @@ def brute_force_width(
     |det(e, f)| unless e and f are parallel.  When f_y = 0 this reads
     dx * f_x <= W, so dx <= 1, as f_x >= W.  Every skipped direction is
     wider than W, so it neither wins nor ties.  O(sup_norm + vertices *
-    evaluated directions); no Gauss reduction.
+    evaluated directions); no Gauss reduction.  DomainError unless
+    sup_norm >= 1, which the argument needs.
     """
+    if sup_norm < 1:
+        raise DomainError(f"sup_norm must be at least 1, got {sup_norm}")
     verts = polygon.vertices
 
     def spread(dx: int, dy: int) -> int:
@@ -159,5 +163,4 @@ def brute_force_width(
             d = (dx, dy)
             if best is None or w < best[0] or (w == best[0] and d < best[1]):
                 best = (w, d)
-    assert best is not None
     return best

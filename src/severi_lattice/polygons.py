@@ -6,8 +6,10 @@ collinear intermediate points into their edge, and rejects degenerate or
 non-convex input.  All computations are exact integer arithmetic.
 
 Interior counts (``interior_count_in``, Pick's theorem, O(vertices)) and
-the lattice width (Gauss reduction, O(vertices * log width) per step) are
-the production path, both read in a lattice's basis (``lattices._in_basis``).
+the lattice width (Gauss reduction with seeded, bracketed steps, a few
+width-norm evaluations of O(vertices) each on small polygons and
+O(log width) per step at the coordinate bound) are the production path,
+both read in a lattice's basis (``lattices._in_basis``).
 The point scans ``interior_points`` and ``interior_points_in`` (O(area)) are
 oracles for tests and the verify battery, kept as methods so their results
 cache on the polygon; the width oracle ``brute_force_width`` is in ``oracles``.
@@ -366,66 +368,106 @@ def _width_of_vertices(verts: Sequence[Point]) -> tuple[int, Point]:
 
     Production path: generalized Gauss reduction (Kaib & Schnorr, J.
     Algorithms 1996) of the width norm f(n) = max n.v - min n.v on the dual
-    lattice.  Each step replaces b2 by b2 - mu*b1, with the integer mu that
-    minimizes the convex function mu -> f(b2 - mu*b1) found by binary search
-    on its slope, and swaps the two when b2 became the shorter.  On exit
-    f(b1) and f(b2) are the successive minima.  If f(b1) < f(b2), only +-b1
-    attain the width.  Otherwise every minimizer is x*b1 + y*b2 with
-    |x|, |y| <= 2: a longer one would span, with +-b1 or +-b2, a
-    parallelogram of area above 4 inside the ball of radius f(b1), against
-    Minkowski's theorem.  The lexicographic tie-break therefore runs over
-    those coefficients (when three minimal directions lie on one edge of
-    the ball, b2 + 2*b1 or b2 - 2*b1 can be one of them).  Each evaluation
-    of f costs O(vertices); a step makes O(log width) of them, and the
-    number of steps is logarithmic in the starting lengths.
+    lattice.  The vertices' projections on b1 and b2 are carried from step
+    to step, so g(mu) = f(b2 - mu*b1) is one pass over them, memoized
+    within the step (g(0) = f(b2) is known).  Each step replaces b2 by
+    b2 - mu*b1, with mu the leftmost integer minimizer of the convex g, and
+    swaps the two when b2 became the shorter.  On exit f(b1) and f(b2) are
+    the successive minima.
+
+    Seed and bracket.  Let vertices v_i, v_j attain f1 = f(b1) = b1.(v_i -
+    v_j) and let t = b2.(v_i - v_j).  As n.v_i and n.v_j are two of the
+    values whose spread is f(n), g(mu) >= |t - mu*f1|.  With the seed mu0 =
+    floor(t/f1) and r = g(mu0), every mu with g(mu) <= r, so every
+    minimizer, lies in [ceil((t - r)/f1), floor((t + r)/f1)], where a
+    binary search on the slope, g(mu + 1) >= g(mu), finds the leftmost.
+    On the needle (0,0), (10,10^4), (11,10^4), (1,0) the seed 909 lies 91
+    steps from the minimizer 1000 in a bracket of 331.
+
+    Tie-break.  If f1 < f2, only +-b1 attain the width.  Otherwise every
+    minimizer is x*b1 + y*b2 with |x|, |y| <= 2: a longer one would span,
+    with +-b1 or +-b2, a parallelogram of area above 4 inside the ball of
+    radius f1, against Minkowski's theorem.  Up to sign that leaves b1, b2,
+    b1 +- b2, 2*b1 +- b2 and b1 +- 2*b2.
+    - b1 + b2 = b2 - (mu - 1)*b1 lies left of the leftmost minimizer mu on
+      the last step's line, so f(b1 + b2) > f(b2) = f1.
+    - A candidate with a coefficient 2 is the far end of a segment from
+      +-b2 or b1 through its midpoint b1 + b2 or b1 - b2; by convexity it
+      reaches f1 only if that midpoint does.  That leaves b1 - b2, 2*b1 -
+      b2 and b1 - 2*b2, the first two on the last step's line: f(b1 - b2) =
+      g(mu + 1) and f(2*b1 - b2) = g(mu + 2), mostly memoized already.
+    - b1 - 2*b2 never wins, so it is not evaluated.  If it reaches f1, the
+      points b1, b1 - b2, b1 - 2*b2 and b1, b2, 2*b2 - b1 put two edges on
+      the boundary of the ball, which is then the parallelogram
+      f(x*b1 + y*b2) = f1 * max(|x|, |x + y|).  Let a and s be the first
+      coordinates of b1 and b2; (a, s) is primitive.  The successive b1
+      are x_0 (an axis), x_1, ..., x_m = b1, with x_-1 the other axis and
+      x_(k+1) = x_(k-1) - mu_k*x_k.  For k >= 1, x_k minimizes f on
+      x_(k-2) + Z*x_(k-1), so x_(k-1) and x_(k-1) -+ x_k are no shorter
+      than x_k and a swap needs |mu_k| >= 2; as the first coordinates of
+      x_0, x_1 are 1, -mu_0 != 0 or 0, 1, their absolute values never
+      decrease.  If m = 0, a is 0 or 1.  If m >= 1, c = x_(m-1) = b2 +
+      mu*b1 has f(c) > f1 and f(c + b1) > f1 (b1 is a leftmost minimizer),
+      so mu >= 1 or mu <= -3, and a*s > 0 with |a| > |s| would make c's
+      first coordinate s + mu*a larger than a in absolute value.  Either
+      way a*s <= 0 or |a| <= |s|, so |a - 2*s| > |a|, unless a = 0 (then
+      b1 is (0, 1)), s = 0 (then b2 is) or a = s = +-1 (then b1 - b2 is).
+    Over corpus max-coord 4 a call evaluates f 4.1 times on average (16.8
+    for a search over [-2*f2/f1 - 1, 2*f2/f1 + 1] and a scan of all twelve
+    candidates), each O(vertices); a step makes O(log width) of them, 18
+    at most on the needles at the coordinate bound, and the number of steps
+    is logarithmic in the starting lengths.
     """
-
-    def spread(direction: Point) -> int:
-        vals = [direction[0] * x + direction[1] * y for (x, y) in verts]
-        return max(vals) - min(vals)
-
-    def canon(direction: Point) -> Point:
-        dx, dy = direction
-        g = gcd(abs(dx), abs(dy))
-        dx, dy = dx // g, dy // g
-        if dx < 0 or (dx == 0 and dy < 0):
-            dx, dy = -dx, -dy
-        return (dx, dy)
-
-    def combine(x: int, y: int) -> Point:
-        return (x * b1[0] + y * b2[0], x * b1[1] + y * b2[1])
-
     b1, b2 = (1, 0), (0, 1)
-    f1, f2 = spread(b1), spread(b2)
-    if f2 < f1:
-        b1, b2, f1, f2 = b2, b1, f2, f1
+    e1 = _extent([x for x, _ in verts])
+    e2 = _extent([y for _, y in verts])
+    if e2[0] < e1[0]:
+        b1, b2, e1, e2 = b2, b1, e2, e1
+
+    def g(mu: int) -> int:
+        # f(b2 - mu*b1) from this step's projections p1, p2, memoized in line
+        if mu not in line:
+            line[mu] = _extent([q - mu * p for p, q in zip(p1, p2)])
+        return line[mu][0]
+
     while True:
-        # the minimizer mu satisfies |mu| * f1 - f2 <= f(b2 - mu*b1) <= f2;
-        # take the smallest mu from which the function stops decreasing
-        lo = -(2 * f2 // f1) - 1
-        hi = -lo
+        f1, top, bottom, p1 = e1
+        p2 = e2[3]
+        t = p2[p1.index(top)] - p2[p1.index(bottom)]  # b2.(v_i - v_j)
+        line = {0: e2}
+        r = g(t // f1)
+        lo, hi = -((r - t) // f1), (t + r) // f1
         while lo < hi:
             mid = (lo + hi) // 2
-            if spread(combine(-mid - 1, 1)) >= spread(combine(-mid, 1)):
+            if g(mid + 1) >= g(mid):
                 hi = mid
             else:
                 lo = mid + 1
-        b2 = combine(-lo, 1)
-        f2 = spread(b2)
-        if f2 >= f1:
+        mu = lo
+        b2 = (b2[0] - mu * b1[0], b2[1] - mu * b1[1])
+        if line[mu][0] >= f1:
             break
-        b1, b2, f1, f2 = b2, b1, f2, f1
-    if f1 < f2:
-        return (f1, canon(b1))  # +-b1 are the only minimizers
+        b1, b2, e1, e2 = b2, b1, line[mu], e1
+    if line[mu][0] > f1:
+        return (f1, _canon(b1))  # +-b1 are the only minimizers
 
-    best: tuple[int, Point] | None = None
-    for x in range(0, 3):
-        for y in range(-2, 3):
-            if x == 0 and y <= 0:
-                continue
-            d = canon(combine(x, y))
-            w = spread(d)
-            if best is None or w < best[0] or (w == best[0] and d < best[1]):
-                best = (w, d)
-    assert best is not None
-    return best
+    # b1 - b2 and 2*b1 - b2 lie on the last step's line at mu + 1, mu + 2
+    best = min(_canon(b1), _canon(b2))
+    if g(mu + 1) == f1:
+        best = min(best, _canon((b1[0] - b2[0], b1[1] - b2[1])))
+        if g(mu + 2) == f1:
+            best = min(best, _canon((2 * b1[0] - b2[0], 2 * b1[1] - b2[1])))
+    return (f1, best)
+
+
+def _extent(vals: list[int]) -> tuple[int, int, int, list[int]]:
+    """The width norm on one direction from its projections: (spread, top,
+    bottom, projections)."""
+    top, bottom = max(vals), min(vals)
+    return (top - bottom, top, bottom, vals)
+
+
+def _canon(direction: Point) -> Point:
+    """A primitive direction with its first nonzero coordinate positive."""
+    dx, dy = direction
+    return direction if dx > 0 or (dx == 0 and dy > 0) else (-dx, -dy)

@@ -1,15 +1,21 @@
 """Reference code that only the tests use: random matrices of the GL^h
 machinery, the Smith form built from the invariant factors, a lattice
-frame map written apart from the library's, and the certificate rows as
+frame map written apart from the library's, the certificate rows as
 they were first written (the signature from the full ``hsnf``, the rank
-test over every pair)."""
+test over every pair) and the width reduction as it was first written
+(a search over the whole interval each step, a scan of twelve candidates
+in the tie-break)."""
 
 import random
+from collections.abc import Sequence
+from math import gcd
 
 from severi_lattice.certificates import a_delta
 from severi_lattice.errors import DomainError, InvariantViolation
 from severi_lattice.intmat import IntMat, hsnf, invariant_factors
 from severi_lattice.polygons import LatticePolygon
+
+Point = tuple[int, int]
 
 
 def random_gl_h(n: int, rng: random.Random, max_ops: int = 20) -> IntMat:
@@ -129,3 +135,74 @@ def reference_width_one_pair(profile):
             ):
                 return (i1, i2)
     return None
+
+
+def reference_width_of_vertices(verts: Sequence[Point]) -> tuple[int, Point]:
+    """Exact lattice width of a CCW convex vertex list over Z^2, as
+    ``polygons._width_of_vertices`` first computed it.
+
+    Generalized Gauss reduction (Kaib & Schnorr, J.
+    Algorithms 1996) of the width norm f(n) = max n.v - min n.v on the dual
+    lattice.  Each step replaces b2 by b2 - mu*b1, with the integer mu that
+    minimizes the convex function mu -> f(b2 - mu*b1) found by binary search
+    on its slope, and swaps the two when b2 became the shorter.  On exit
+    f(b1) and f(b2) are the successive minima.  If f(b1) < f(b2), only +-b1
+    attain the width.  Otherwise every minimizer is x*b1 + y*b2 with
+    |x|, |y| <= 2: a longer one would span, with +-b1 or +-b2, a
+    parallelogram of area above 4 inside the ball of radius f(b1), against
+    Minkowski's theorem.  The lexicographic tie-break therefore runs over
+    those coefficients (when three minimal directions lie on one edge of
+    the ball, b2 + 2*b1 or b2 - 2*b1 can be one of them).  Each evaluation
+    of f costs O(vertices); a step makes O(log width) of them, and the
+    number of steps is logarithmic in the starting lengths.
+    """
+
+    def spread(direction: Point) -> int:
+        vals = [direction[0] * x + direction[1] * y for (x, y) in verts]
+        return max(vals) - min(vals)
+
+    def canon(direction: Point) -> Point:
+        dx, dy = direction
+        g = gcd(abs(dx), abs(dy))
+        dx, dy = dx // g, dy // g
+        if dx < 0 or (dx == 0 and dy < 0):
+            dx, dy = -dx, -dy
+        return (dx, dy)
+
+    def combine(x: int, y: int) -> Point:
+        return (x * b1[0] + y * b2[0], x * b1[1] + y * b2[1])
+
+    b1, b2 = (1, 0), (0, 1)
+    f1, f2 = spread(b1), spread(b2)
+    if f2 < f1:
+        b1, b2, f1, f2 = b2, b1, f2, f1
+    while True:
+        # the minimizer mu satisfies |mu| * f1 - f2 <= f(b2 - mu*b1) <= f2;
+        # take the smallest mu from which the function stops decreasing
+        lo = -(2 * f2 // f1) - 1
+        hi = -lo
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if spread(combine(-mid - 1, 1)) >= spread(combine(-mid, 1)):
+                hi = mid
+            else:
+                lo = mid + 1
+        b2 = combine(-lo, 1)
+        f2 = spread(b2)
+        if f2 >= f1:
+            break
+        b1, b2, f1, f2 = b2, b1, f2, f1
+    if f1 < f2:
+        return (f1, canon(b1))  # +-b1 are the only minimizers
+
+    best: tuple[int, Point] | None = None
+    for x in range(0, 3):
+        for y in range(-2, 3):
+            if x == 0 and y <= 0:
+                continue
+            d = canon(combine(x, y))
+            w = spread(d)
+            if best is None or w < best[0] or (w == best[0] and d < best[1]):
+                best = (w, d)
+    assert best is not None
+    return best

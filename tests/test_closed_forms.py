@@ -2,8 +2,10 @@
 
 - ``interior_count_in`` (Pick in M) against the point scan
   ``interior_points_in``;
-- the Gauss-reduced ``_width_of_vertices`` against the square scan it
-  replaced (kept here as an oracle) and against ``brute_force_width``;
+- the Gauss-reduced ``_width_of_vertices`` against the reduction as it
+  was first written (``helpers.reference_width_of_vertices``), the square
+  scan it replaced (kept here as an oracle) and ``brute_force_width``, and
+  the number of width-norm evaluations it makes;
 - the pruned ``brute_force_width`` against the full sup-norm box scan it
   replaced (kept here as the reference);
 - the oracle's row walk ``_meets_interior`` against the point scan;
@@ -18,9 +20,11 @@ Inputs: every polygon of corpus max-coord 4 (3 for the profile) plus
 random polygons with |coordinate| <= 60 (100 for the box scan) drawn by
 hypothesis; the box scan also gets polygons that stress its second strip
 (leftmost and rightmost vertex on one row, ties on every side of the
-bounding box, long thin triangles, the 504-divisor triangle).
+bounding box, long thin triangles, the 504-divisor triangle), and the
+width reduction needles at the coordinate bound.
 """
 
+import builtins
 import random
 from math import gcd
 
@@ -37,6 +41,7 @@ from severi_lattice.oracles import (
     brute_force_width,
     count_components_oracle,
 )
+import severi_lattice.polygons
 from severi_lattice.polygons import LatticePolygon, _width_of_vertices
 from severi_lattice.severi import (
     analyze,
@@ -45,7 +50,7 @@ from severi_lattice.severi import (
     enumerate_components,
 )
 
-from helpers import image_in
+from helpers import image_in, reference_width_of_vertices
 
 
 def square_scan_width(verts):
@@ -212,20 +217,69 @@ class TestInteriorCount:
             assert poly.interior_count_in(lat) == len(poly.interior_points_in(lat))
 
 
+# needles at the coordinate bound, each under the eight symmetries of the
+# square: in the first, the seed of the first step, 909, lies 91 steps from
+# the minimizer 1000
+NEEDLES = [
+    [(0, 0), (10, 10**4), (11, 10**4), (1, 0)],
+    [(0, 0), (1, 1), (9999, 10**4)],
+    [(0, 0), (1, 10**4), (0, 1)],
+]
+SQUARE_SYMMETRIES = [
+    lambda x, y: (x, y),
+    lambda x, y: (-x, y),
+    lambda x, y: (x, -y),
+    lambda x, y: (-x, -y),
+    lambda x, y: (y, x),
+    lambda x, y: (-y, x),
+    lambda x, y: (y, -x),
+    lambda x, y: (-y, -x),
+]
+
+
+def needle_images():
+    for needle in NEEDLES:
+        for sym in SQUARE_SYMMETRIES:
+            yield LatticePolygon([sym(x, y) for x, y in needle])
+
+
 class TestReducedWidth:
+    def assert_reference(self, poly):
+        reduced = _width_of_vertices(poly.vertices)
+        assert reduced == reference_width_of_vertices(poly.vertices), poly
+        return reduced
+
     def test_three_minimal_directions_on_one_edge(self):
         # the reduced basis is b1 = (1, 0), b2 = (2, 1); the width norm takes
         # its minimum 2 at b1 and at b2, b2 - b1 = (1, 1), b2 - 2*b1 = (0, 1),
         # the last three on one edge of its ball; the lexicographic
-        # tie-break must reach (0, 1), which +-b1 +-b2 misses
+        # tie-break must reach (0, 1), which +-b1 +-b2 misses: the winner is
+        # the tie-break's 2*b1 - b2 candidate
         poly = LatticePolygon([(1, 0), (2, 0), (1, 2), (0, 2)])
-        assert _width_of_vertices(poly.vertices) == (2, (0, 1))
+        assert self.assert_reference(poly) == (2, (0, 1))
         assert square_scan_width(poly.vertices) == (2, (0, 1))
         assert brute_force_width(poly) == (2, (0, 1))
 
+    def test_b1_minus_twice_b2_reaches_the_width(self):
+        """b1 - 2*b2 reaches the width, and loses, as it always does.
+
+        The reduced basis is b1 = (0, 1), b2 = (1, -1); the width norm takes
+        its minimum 2 at b1, b2, b1 - b2 = (-1, 2) and b1 - 2*b2 = (-2, 3).
+        The kernel's docstring proves that b1 - 2*b2 never wins, so it does
+        not evaluate it: here b1 = (0, 1) wins.  The reference scans all
+        twelve candidates; on corpus max-coord 4 b1 - 2*b2 reaches the width
+        on 8 polygons and wins on none.
+        """
+        poly = LatticePolygon([(0, 0), (1, 0), (4, 2), (3, 2)])
+        assert self.assert_reference(poly) == (2, (0, 1))
+        assert brute_force_width(poly, 3) == (2, (0, 1))
+        for direction in [(1, -1), (1, -2), (2, -3)]:
+            vals = [direction[0] * x + direction[1] * y for x, y in poly.vertices]
+            assert max(vals) - min(vals) == 2
+
     def test_corpus4(self, corpus4):
         for poly in corpus4:
-            reduced = _width_of_vertices(poly.vertices)
+            reduced = self.assert_reference(poly)
             assert reduced == square_scan_width(poly.vertices), poly
             box = direction_box(poly.vertices)
             assert reduced == brute_force_width(poly, box), poly
@@ -240,7 +294,7 @@ class TestReducedWidth:
     @settings(max_examples=150, deadline=None)
     @given(polygons())
     def test_random(self, poly):
-        reduced = _width_of_vertices(poly.vertices)
+        reduced = self.assert_reference(poly)
         assert reduced == square_scan_width(poly.vertices)
         box = direction_box(poly.vertices)
         if box <= 40:
@@ -249,7 +303,70 @@ class TestReducedWidth:
     def test_long_thin_polygons(self):
         # minimal directions far from the axes need several reduction steps
         for poly in long_thin_polygons():
-            assert _width_of_vertices(poly.vertices) == square_scan_width(poly.vertices)
+            reduced = self.assert_reference(poly)
+            assert reduced == square_scan_width(poly.vertices)
+
+    def test_needles_at_the_bound(self):
+        for poly in needle_images():
+            self.assert_reference(poly)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.booleans(), st.integers(-3, 3)), max_size=8),
+        st.booleans(),
+        st.integers(1, 3),
+    )
+    def test_parallelogram_balls(self, shears, swap, scale):
+        # unimodular images of a parallelogram whose width-norm ball is a
+        # parallelogram with b1 - 2*b2 on its boundary, the case that the
+        # tie-break's proof handles
+        a, b, c, d = 1, 0, 0, 1
+        for on_first_row, k in shears:
+            if on_first_row:
+                a, b = a + k * c, b + k * d
+            else:
+                c, d = c + k * a, d + k * b
+        if swap:
+            a, b, c, d = c, d, a, b
+        points = [(0, 0), (2, 1), (2, 2), (0, 1)]
+        image = [(scale * (a * x + b * y), scale * (c * x + d * y)) for x, y in points]
+        assume(max(abs(v) for p in image for v in p) <= 10**4)
+        self.assert_reference(LatticePolygon(image))
+
+
+class TestWidthEvaluations:
+    """How often the reduction evaluates the width norm.
+
+    Every evaluation takes one ``max`` of a direction's projections, so a
+    ``max`` counted in the module's namespace counts evaluations.
+    """
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+
+        def counting_max(*args, **kwargs):
+            calls.append(None)
+            return builtins.max(*args, **kwargs)
+
+        monkeypatch.setattr(severi_lattice.polygons, "max", counting_max, raising=False)
+        return calls
+
+    def test_corpus4_mean(self, monkeypatch, corpus4):
+        # 16.8 per call for the search over [-2*f2/f1 - 1, 2*f2/f1 + 1] and
+        # the 12-candidate tie-break
+        calls = self.counted(monkeypatch)
+        for poly in corpus4:
+            _width_of_vertices(poly.vertices)
+        assert len(calls) / len(corpus4) <= 4.14
+
+    def test_needles_take_logarithmically_many(self, monkeypatch):
+        # 27 to 54 before the bracket; a walk from the seed takes over 90
+        calls = self.counted(monkeypatch)
+        for poly in needle_images():
+            calls.clear()
+            _width_of_vertices(poly.vertices)
+            assert len(calls) <= 18, poly
 
 
 def long_thin_polygons():

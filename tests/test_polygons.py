@@ -241,6 +241,12 @@ class TestWidth:
             poly = random_polygon(rng, 6)
             assert poly.lattice_width(Z2) == brute_force_width(poly)
 
+    @pytest.mark.parametrize("sup_norm", [0, -1])
+    def test_brute_force_needs_a_box_holding_the_axes(self, unit_square, sup_norm):
+        # an empty box has no direction to return
+        with pytest.raises(DomainError):
+            brute_force_width(unit_square, sup_norm)
+
 
 class TestClassification:
     def test_examples(self, triangle_d2, triangle_d3, unit_square):
