@@ -44,6 +44,10 @@ class CorpusSpec(Record):
     __slots__ = ("max_coordinate", "limit")
 
     def __init__(self, max_coordinate: int, limit: int | None = None) -> None:
+        if type(max_coordinate) is not int or type(limit) not in (int, type(None)):
+            raise DomainError(
+                f"max_coordinate and limit must be integers: {max_coordinate!r}, {limit!r}"
+            )
         if max_coordinate < 1:
             raise DomainError("max_coordinate must be positive")
         if max_coordinate > MAX_EXHAUSTIVE_COORD:
@@ -220,7 +224,12 @@ def convex_hull(points: Sequence[Point]) -> list[Point]:
 
 
 def random_polygon(rng: random.Random, max_abs: int, max_points: int = 10) -> LatticePolygon:
-    """Random convex lattice polygon with coordinates in [-max_abs, max_abs]."""
+    """Random convex lattice polygon with coordinates in [-max_abs, max_abs].
+
+    DomainError unless ``max_abs >= 1`` and ``max_points >= 3``: with fewer
+    points or a one-point box no draw has a hull of three vertices."""
+    if max_abs < 1 or max_points < 3:
+        raise DomainError(f"need max_abs >= 1, max_points >= 3: {max_abs}, {max_points}")
     while True:
         count = rng.randint(3, max_points)
         pts = [

@@ -13,13 +13,14 @@ the basepoint is the unique coset representative with ``0 <= y < d2`` and
 
 Every operation works in closed form on the canonical triangle
 ``(d1, e, d2)``, O(1) per lattice: a translation reduces the new
-basepoint, a quarter turn and each lattice between ``l0`` and Z^2
-(``l0 + (idx/d) Z^2``) are one ``_canonical_basis`` reduction of a few
-generators, the index in Z^2 is ``d1 * d2``, and ``Z^2 / l0`` is cyclic
-iff ``gcd(d1, e, d2) == 1``.  Input is validated where it enters
-(``from_generators``, ``contains``, ``translate``, ``affine_span``);
-values this module computes are canonical by construction and skip both
-that check and the constructor's.
+basepoint, a quarter turn and each lattice strictly between ``l0`` and
+Z^2 (``l0 + (idx/d) Z^2``) are one ``_canonical_basis`` reduction of a
+few generators, the two ends are ``l0`` and Z^2 themselves, the index in
+Z^2 is ``d1 * d2``, and ``Z^2 / l0`` is cyclic iff ``gcd(d1, e, d2) ==
+1``.  Input is validated where it enters (the constructor,
+``from_generators``, ``contains``, ``affine_span``); values the package
+computes are canonical by construction and go through the trusted forms
+(``_canonical``, ``_through``, ``_has``, ``_span``), which skip both checks.
 """
 
 from __future__ import annotations
@@ -105,9 +106,13 @@ class AffineLattice2(Record):
     def __init__(
         self, basepoint: Point, basis: tuple[tuple[int, int], tuple[int, int]]
     ) -> None:
+        if len(basis) != 2:
+            raise DomainError(f"basis {basis} is not in canonical form")
+        basis = (_check_point(basis[0]), _check_point(basis[1]))
         (d1, e), (z, d2) = basis
         if z != 0 or d1 <= 0 or d2 <= 0 or not 0 <= e < d1:
             raise DomainError(f"basis {basis} is not in canonical form")
+        basepoint = _check_point(basepoint)
         bx, by = basepoint
         if not (0 <= by < d2 and 0 <= bx < d1):
             raise DomainError(f"basepoint {basepoint} is not reduced")
@@ -148,6 +153,8 @@ class AffineLattice2(Record):
         return self.d1 * self.d2
 
     def linear_part(self) -> "AffineLattice2":
+        if self.is_linear:
+            return self
         (d1, e), (_, d2) = self.basis
         return _canonical((0, 0), d1, e, d2)
 
@@ -164,10 +171,11 @@ class AffineLattice2(Record):
             return False
         return (point[0] - self.basepoint[0] - dy // d2 * e) % d1 == 0
 
-    def translate(self, basepoint: Sequence[int]) -> "AffineLattice2":
-        """Same linear part, coset through ``basepoint``."""
+    def _through(self, point: Point) -> "AffineLattice2":
+        """Same linear part, coset through ``point``, an integer pair the
+        library made itself: no type check."""
         (d1, e), (_, d2) = self.basis
-        return _canonical(_check_point(basepoint), d1, e, d2)
+        return _canonical(point, d1, e, d2)
 
     def to_json_dict(self) -> dict:
         return {
@@ -191,10 +199,15 @@ def affine_span(points: Sequence[Sequence[int]]) -> AffineLattice2:
     """
     if not points:
         raise DomainError("affine span of an empty point set")
-    pts = [_check_point(p) for p in points]
-    x0, y0 = pts[0]
-    d1, e, d2 = _canonical_basis((x - x0, y - y0) for x, y in pts[1:])
-    return _canonical(pts[0], d1, e, d2)
+    return _span([_check_point(p) for p in points])
+
+
+def _span(points: Sequence[Point]) -> AffineLattice2:
+    """``affine_span`` of a nonempty sequence of integer pairs the library
+    made itself (a polygon's boundary points): no type check."""
+    x0, y0 = points[0]
+    d1, e, d2 = _canonical_basis((x - x0, y - y0) for x, y in points[1:])
+    return _canonical(points[0], d1, e, d2)
 
 
 def _in_basis(lat: AffineLattice2, vector: Point) -> Point:
@@ -257,10 +270,12 @@ def intermediate_lattices(l0: AffineLattice2) -> list[AffineLattice2]:
         raise DomainError(
             f"Z^2 quotient is not cyclic (invariant factors {a1}, {idx // a1})"
         )
-    out = []
-    for d in divisors(idx):
+    out = [l0]
+    for d in divisors(idx)[1:-1]:
         m = idx // d
         out.append(
             _canonical((0, 0), *_canonical_basis([(d1, 0), (e, d2), (m, 0), (0, m)]))
         )
+    if idx > 1:
+        out.append(Z2)
     return out

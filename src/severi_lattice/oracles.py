@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from math import gcd
 
 from .errors import DomainError
-from .lattices import AffineLattice2, affine_span, intermediate_lattices
+from .lattices import AffineLattice2, _span, intermediate_lattices
 from .polygons import Facet, LatticePolygon
 
 __all__ = ["count_components_oracle", "brute_force_width"]
@@ -33,11 +33,11 @@ def count_components_oracle(polygon: LatticePolygon) -> int:
     point list).  Its boundary lattice is the literal affine span of all
     boundary points, not the production profile.
     """
-    m0 = affine_span(polygon.boundary_points())
+    m0 = _span(polygon.boundary_points())  # the polygon's own points
     facets = polygon.facets()
     count = 0
     for linear in intermediate_lattices(m0.linear_part()):
-        m_lat = linear.translate(m0.basepoint)
+        m_lat = linear._through(m0.basepoint)
         if not _holds_boundary(m_lat, facets):
             continue
         if _meets_interior(polygon, m_lat):

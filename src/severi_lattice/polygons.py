@@ -1,15 +1,17 @@
 """Validated convex lattice polygons and their lattice-point geometry.
 
 A polygon is given by its boundary vertices in traversal order (either
-orientation); validation normalizes to counterclockwise, collapses
-collinear intermediate points into their edge, and rejects degenerate or
-non-convex input.  All computations are exact integer arithmetic.
+orientation); validation, one pass over the neighbour triples,
+normalizes to counterclockwise, collapses collinear intermediate points
+into their edge, rejects degenerate or non-convex input, and keeps its
+shoelace sum as the area.  All computations are exact integer arithmetic.
 
-Interior counts (``interior_count_in``, Pick's theorem, O(vertices)) and
-the lattice width (Gauss reduction with seeded, bracketed steps, a few
-width-norm evaluations of O(vertices) each on small polygons and
-O(log width) per step at the coordinate bound) are the production path,
-both read in a lattice's basis (``lattices._in_basis``).
+Interior counts (``interior_count_in``, Pick's theorem, O(vertices) once
+per lattice) and the lattice width (Gauss reduction with seeded,
+bracketed steps, a few width-norm evaluations of O(vertices) each on
+small polygons and O(log width) per step at the coordinate bound) are
+the production path, both read in a lattice's basis
+(``lattices._in_basis``) and cached on the polygon.
 The point scans ``interior_points`` and ``interior_points_in`` (O(area)) are
 oracles for tests and the verify battery, kept as methods so their results
 cache on the polygon; the width oracle ``brute_force_width`` is in ``oracles``.
@@ -73,10 +75,6 @@ class Facet(Record):
         }
 
 
-def _cross(o: Point, a: Point, b: Point) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def _half(v: Point) -> int:
     """0 for the upper half-plane (incl. positive x-axis), 1 otherwise."""
     return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
@@ -95,8 +93,8 @@ class LatticePolygon:
     __slots__ = ("_vertices", "_cache")
 
     def __init__(self, points: Sequence[Sequence[int]]):
-        self._vertices = _validate(points)
-        self._cache: dict = {}
+        self._vertices, area2 = _validate(points)
+        self._cache: dict = {"area2": area2}
 
     @classmethod
     def _trusted(cls, vertices: tuple[Point, ...]) -> "LatticePolygon":
@@ -219,11 +217,16 @@ class LatticePolygon:
 
         Every vertex must lie in ``lattice``; then 2A/[Z^2:M] = 2i + b - 2
         in the frame of M, where b sums each edge's lattice length measured
-        in M.  O(vertices) time, independent of the area.
+        in M.  O(vertices) time, independent of the area, once per lattice:
+        the count is cached, so ``analyze`` counts M0 once.
         """
-        self._require_vertices_in(lattice)
-        border = sum(self._lengths_in(lattice))
-        return (self.twice_area() // lattice.index_in_z2 - border + 2) // 2
+        key = ("count", lattice)
+        if key not in self._cache:
+            self._require_vertices_in(lattice)
+            border = sum(self._lengths_in(lattice))
+            t2 = self.twice_area() // lattice.index_in_z2
+            self._cache[key] = (t2 - border + 2) // 2
+        return self._cache[key]
 
     # -- lattice-relative operations --------------------------------------
 
@@ -306,61 +309,67 @@ class LatticePolygon:
         return InteriorClassification.TWICE_PRIMITIVE_TRIANGLE
 
 
-def _validate(points: Sequence[Sequence[int]]) -> tuple[Point, ...]:
+def _validate(points: Sequence[Sequence[int]]) -> tuple[tuple[Point, ...], int]:
+    """Checked counterclockwise corners of ``points``, and twice their area.
+
+    The shoelace sum accumulates as the points are checked.  One pass over
+    the neighbour triples then drops each point on the straight
+    continuation of its edge (the closed path, its nonzero area and so
+    three corners stay) and reads at each corner its turn and whether the
+    edge directions wrap past the reference ray; a corner's neighbours in
+    the input lie on its edges, so they give the signs its neighbouring
+    corners would.  A backtrack is reported first, then a reflex corner,
+    then a convex traversal whose directions wrap more than once.
+    """
     if len(points) < 3:
         raise DomainError("a polygon needs at least 3 points")
     pts: list[Point] = []
+    area2 = 0
     for p in points:
         if len(p) != 2 or type(p[0]) is not int or type(p[1]) is not int:
             raise DomainError(f"vertex {p!r} is not an integer pair")
-        if abs(p[0]) > COORD_BOUND or abs(p[1]) > COORD_BOUND:
+        x, y = p
+        if abs(x) > COORD_BOUND or abs(y) > COORD_BOUND:
             raise DomainError(f"coordinate bound |c| <= {COORD_BOUND} exceeded at {p!r}")
-        pts.append((p[0], p[1]))
+        if pts:
+            area2 += pts[-1][0] * y - x * pts[-1][1]
+        pts.append((x, y))
     if len(set(pts)) != len(pts):
         raise DomainError("repeated boundary point")
-
-    n = len(pts)
-    area2 = sum(
-        pts[i][0] * pts[(i + 1) % n][1] - pts[(i + 1) % n][0] * pts[i][1]
-        for i in range(n)
-    )
+    area2 += pts[-1][0] * pts[0][1] - pts[0][0] * pts[-1][1]
     if area2 == 0:
         raise DomainError("zero area (points are collinear or traversal cancels)")
     if area2 < 0:
         # normalize to counterclockwise, keeping the first point first
         pts = [pts[0]] + pts[:0:-1]
+        area2 = -area2
 
-    # collapse points lying on the straight continuation of their edge, in
-    # one pass over the input's neighbour triples: dropping such a point
-    # leaves each neighbour's triple as collinear, and as backtracking, as
-    # it was.  Dropping them keeps the closed path and so its nonzero area,
-    # hence at least three corners.
     corners: list[Point] = []
-    for i, cur in enumerate(pts):
-        prev, nxt = pts[i - 1], pts[(i + 1) % n]
-        if _cross(prev, cur, nxt):
-            corners.append(cur)
-            continue
-        ax, ay = cur[0] - prev[0], cur[1] - prev[1]
-        bx, by = nxt[0] - cur[0], nxt[1] - cur[1]
-        if ax * bx + ay * by <= 0:
+    reflex, wraps = False, 0
+    px, py = pts[-1]
+    x, y = pts[0]
+    ax, ay = x - px, y - py
+    for nx, ny in pts[1:] + pts[:1]:
+        bx, by = nx - x, ny - y
+        turn = ax * by - ay * bx
+        if turn:
+            corners.append((x, y))
+            if turn < 0:
+                reflex = True
+            # the directions wrap iff they pass from the lower half-plane to
+            # the upper one (the positive x-axis is upper); at a left turn
+            # that is ay < 0 <= by: a left turn from the negative x-axis
+            # ends below it, and one onto it starts above it
+            elif ay < 0 <= by:
+                wraps += 1
+        elif ax * bx + ay * by <= 0:
             raise DomainError("self-intersecting traversal (edge backtracks)")
-    pts = corners
-
-    m = len(pts)
-    for i in range(m):
-        if _cross(pts[i - 1], pts[i], pts[(i + 1) % m]) < 0:
-            raise DomainError("polygon is not convex")
-    # a convex traversal winds exactly once: edge directions, sorted by
-    # angle, must wrap past the reference ray a single time
-    edges = [
-        (pts[(i + 1) % m][0] - pts[i][0], pts[(i + 1) % m][1] - pts[i][1])
-        for i in range(m)
-    ]
-    descents = sum(1 for i in range(m) if not _angle_less(edges[i], edges[(i + 1) % m]))
-    if descents != 1:
+        x, y, ax, ay = nx, ny, bx, by
+    if reflex:
+        raise DomainError("polygon is not convex")
+    if wraps != 1:
         raise DomainError("self-intersecting traversal (winds more than once)")
-    return tuple(pts)
+    return tuple(corners), area2
 
 
 def _width_of_vertices(verts: Sequence[Point]) -> tuple[int, Point]:

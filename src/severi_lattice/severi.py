@@ -9,15 +9,17 @@ affine lattices whose interior point count is positive.
 
 Production path (``enumerate_components``, ``count_components``, the
 classification): the profile is O(facets); the lattices come from closed
-forms on their canonical triangles, O(1) each; interior counts come from
-Pick's theorem in each lattice, O(vertices) per lattice, and the lattice
-width from Gauss reduction, so no work grows with the polygon's area or
-its boundary length.  ``analyze`` builds the profile once and classifies
-M0 once, counts the contributing descriptors, and checks that count against
-the divisor formula and ``oracles.count_components_oracle``, which shares
-no formula with this module.  The per-point normal matrix and the
-certificates read from it live in ``certificates``; this module imports no
-``intmat``.
+forms on their canonical triangles, O(1) each, built by the trusted forms
+of ``lattices`` from values the polygon already checked; interior counts
+come from Pick's theorem, O(vertices), once per lattice (M0's count
+serves its classification and the d == 1 descriptor, whose pair is (n0,
+m0)), and the lattice width from Gauss reduction, so no work grows with
+the polygon's area or its boundary length.  ``analyze`` builds the
+profile once and classifies M0 once, counts the contributing descriptors,
+and checks that count against the divisor formula and
+``oracles.count_components_oracle``, which shares no formula with this
+module.  The per-point normal matrix and the certificates read from it
+live in ``certificates``; this module imports no ``intmat``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from ._record import Record
 from .errors import InvariantViolation
 from .lattices import (
     AffineLattice2,
+    _canonical,
+    _canonical_basis,
     divisors,
     intermediate_lattices,
     rotate90,
@@ -90,10 +94,9 @@ def build_profile(polygon: LatticePolygon) -> BoundaryProfile:
         f.length * f.normal[1] for f in facets
     ):
         raise InvariantViolation("facet normals do not close up (sum l_j n_j != 0)")
-    m0 = AffineLattice2.from_generators(
-        polygon.vertices[0],
-        [(f.vector[0] // f.length, f.vector[1] // f.length) for f in facets],
-    )
+    # the polygon's own integer pairs: no check
+    gens = [(f.vector[0] // f.length, f.vector[1] // f.length) for f in facets]
+    m0 = _canonical(polygon.vertices[0], *_canonical_basis(gens))
     n0 = rotate90(m0.linear_part())
     return BoundaryProfile(
         polygon=polygon, facets=facets, m0=m0, n0=n0, idx=n0.index_in_z2
@@ -165,14 +168,16 @@ def count_components(polygon: LatticePolygon) -> int:
 def _descriptors(
     profile: BoundaryProfile, classification: InteriorClassification
 ) -> list[ComponentDescriptor]:
-    """``enumerate_components`` from a built profile and M0's classification."""
+    """``enumerate_components`` from a built profile and M0's classification;
+    the d == 1 pair is (n0, m0) itself, so M0's cached count serves it."""
     polygon = profile.polygon
+    m0 = profile.m0
     width_one = classification is InteriorClassification.WIDTH_ONE
     twice_primitive = classification is InteriorClassification.TWICE_PRIMITIVE_TRIANGLE
     out: list[ComponentDescriptor] = []
     # intermediate_lattices is sorted by [N : n0], as divisors lists each d
     for d, n_lat in zip(divisors(profile.idx), intermediate_lattices(profile.n0)):
-        m_lat = rotate90(n_lat).translate(profile.m0.basepoint)
+        m_lat = m0 if d == 1 else rotate90(n_lat)._through(m0.basepoint)
         empty = d == 1 and width_one
         excluded = d == 1 and twice_primitive
         out.append(

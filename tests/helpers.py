@@ -4,7 +4,8 @@ frame map written apart from the library's, the certificate rows as
 they were first written (the signature from the full ``hsnf``, the rank
 test over every pair) and the width reduction as it was first written
 (a search over the whole interval each step, a scan of twelve candidates
-in the tie-break)."""
+in the tie-break), the intermediate lattices with both ends reduced, and
+polygon validation in three passes."""
 
 import random
 from collections.abc import Sequence
@@ -13,7 +14,8 @@ from math import gcd
 from severi_lattice.certificates import a_delta
 from severi_lattice.errors import DomainError, InvariantViolation
 from severi_lattice.intmat import IntMat, hsnf, invariant_factors
-from severi_lattice.polygons import LatticePolygon
+from severi_lattice.lattices import _canonical, _canonical_basis, divisors
+from severi_lattice.polygons import COORD_BOUND, LatticePolygon, _angle_less
 
 Point = tuple[int, int]
 
@@ -206,3 +208,82 @@ def reference_width_of_vertices(verts: Sequence[Point]) -> tuple[int, Point]:
                 best = (w, d)
     assert best is not None
     return best
+
+
+def reference_intermediate_lattices(l0):
+    """``lattices.intermediate_lattices`` as first written: every
+    ``N_d = l0 + (idx/d) Z^2`` reduced from its generators, ends included."""
+    (d1, e), (_, d2) = l0.basis
+    a1 = gcd(gcd(d1, e), d2)
+    idx = d1 * d2
+    if a1 != 1:
+        raise DomainError(
+            f"Z^2 quotient is not cyclic (invariant factors {a1}, {idx // a1})"
+        )
+    out = []
+    for d in divisors(idx):
+        m = idx // d
+        out.append(
+            _canonical((0, 0), *_canonical_basis([(d1, 0), (e, d2), (m, 0), (0, m)]))
+        )
+    return out
+
+
+def _cross(o: Point, a: Point, b: Point) -> int:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def reference_validate(points):
+    """``polygons._validate`` as first written, in three passes (collapse,
+    convexity, winding), with the area recomputed from the vertices it
+    returns, as ``LatticePolygon.twice_area`` first did."""
+    if len(points) < 3:
+        raise DomainError("a polygon needs at least 3 points")
+    pts: list[Point] = []
+    for p in points:
+        if len(p) != 2 or type(p[0]) is not int or type(p[1]) is not int:
+            raise DomainError(f"vertex {p!r} is not an integer pair")
+        if abs(p[0]) > COORD_BOUND or abs(p[1]) > COORD_BOUND:
+            raise DomainError(f"coordinate bound |c| <= {COORD_BOUND} exceeded at {p!r}")
+        pts.append((p[0], p[1]))
+    if len(set(pts)) != len(pts):
+        raise DomainError("repeated boundary point")
+
+    n = len(pts)
+    area2 = sum(
+        pts[i][0] * pts[(i + 1) % n][1] - pts[(i + 1) % n][0] * pts[i][1]
+        for i in range(n)
+    )
+    if area2 == 0:
+        raise DomainError("zero area (points are collinear or traversal cancels)")
+    if area2 < 0:
+        pts = [pts[0]] + pts[:0:-1]
+
+    corners: list[Point] = []
+    for i, cur in enumerate(pts):
+        prev, nxt = pts[i - 1], pts[(i + 1) % n]
+        if _cross(prev, cur, nxt):
+            corners.append(cur)
+            continue
+        ax, ay = cur[0] - prev[0], cur[1] - prev[1]
+        bx, by = nxt[0] - cur[0], nxt[1] - cur[1]
+        if ax * bx + ay * by <= 0:
+            raise DomainError("self-intersecting traversal (edge backtracks)")
+    pts = corners
+
+    m = len(pts)
+    for i in range(m):
+        if _cross(pts[i - 1], pts[i], pts[(i + 1) % m]) < 0:
+            raise DomainError("polygon is not convex")
+    edges = [
+        (pts[(i + 1) % m][0] - pts[i][0], pts[(i + 1) % m][1] - pts[i][1])
+        for i in range(m)
+    ]
+    descents = sum(1 for i in range(m) if not _angle_less(edges[i], edges[(i + 1) % m]))
+    if descents != 1:
+        raise DomainError("self-intersecting traversal (winds more than once)")
+    twice_area = sum(
+        pts[i][0] * pts[(i + 1) % m][1] - pts[(i + 1) % m][0] * pts[i][1]
+        for i in range(m)
+    )
+    return tuple(pts), twice_area

@@ -474,7 +474,7 @@ class TestOracleBoundaryTest:
     def test_random(self, poly, extra, through_vertex):
         # lattices in play hold the boundary; random basepoints mostly do
         # not; lattices through a vertex hold it or fail on an edge
-        shifted = through_vertex.linear_part().translate(poly.vertices[0])
+        shifted = through_vertex.linear_part()._through(poly.vertices[0])
         for lat in lattices_in_play(poly) + extra + [shifted]:
             expected = all(lat.contains(p) for p in poly.boundary_points())
             assert _holds_boundary(lat, poly.facets()) == expected

@@ -1,7 +1,10 @@
 import gc
 import math
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +48,13 @@ class TestSpec:
             CorpusSpec(max_coordinate=7)
         with pytest.raises(DomainError):
             CorpusSpec(max_coordinate=2, limit=-1)
+
+    @pytest.mark.parametrize(
+        "max_coordinate, limit", [(2.5, None), (True, None), (2.0, None), (2, 2.5), (2, True)]
+    )
+    def test_non_integer_fields_rejected(self, max_coordinate, limit):
+        with pytest.raises(DomainError):
+            CorpusSpec(max_coordinate=max_coordinate, limit=limit)
 
 
 class TestEnumeration:
@@ -157,3 +167,22 @@ class TestRandomPolygon:
             poly = random_polygon(rng, 8)
             for x, y in poly.vertices:
                 assert -8 <= x <= 8 and -8 <= y <= 8
+
+    @pytest.mark.parametrize("max_abs, max_points", [(0, 10), (-1, 10), (8, 2), (8, 0)])
+    def test_draws_that_cannot_succeed_are_rejected(self, max_abs, max_points):
+        # in a subprocess under a timeout: a draw that can never close a
+        # hull of three vertices would loop forever, not fail
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        probe = (
+            "import random; from severi_lattice.corpus import random_polygon\n"
+            "from severi_lattice.errors import DomainError\n"
+            f"try:\n    random_polygon(random.Random(1), {max_abs}, {max_points})\n"
+            "except DomainError:\n    print('DomainError')\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{probe}"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert run.stdout.strip() == "DomainError", run.stderr

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from severi_lattice.corpus import CorpusSpec, iter_corpus
 from severi_lattice.errors import DomainError
 from severi_lattice.intmat import IntMat, snf
 from severi_lattice.lattices import (
@@ -16,6 +17,10 @@ from severi_lattice.lattices import (
     intermediate_lattices,
     rotate90,
 )
+from severi_lattice.polygons import LatticePolygon
+from severi_lattice.severi import build_profile
+
+from helpers import reference_intermediate_lattices
 
 
 def odd_lattice():
@@ -56,6 +61,22 @@ class TestCanonicalForm:
         with pytest.raises(DomainError):
             AffineLattice2((5, 0), ((2, 0), (0, 1)))  # basepoint not reduced
 
+    @pytest.mark.parametrize(
+        "basepoint, basis",
+        [
+            ((0.5, 0), ((1, 0), (0, 1))),  # a coset of no integer point
+            ((0, 0), ((2.0, 1), (0, 3))),
+            ((True, 0), ((2, 0), (0, 1))),
+            ((0, 0), ((True, 0), (0, 1))),
+            ((0, 0, 0), ((1, 0), (0, 1))),
+            ((0, 0), ((1, 0, 0), (0, 1))),
+            ((0, 0), ((1, 0), (0, 1), (0, 1))),
+        ],
+    )
+    def test_non_integer_fields_rejected(self, basepoint, basis):
+        with pytest.raises(DomainError):
+            AffineLattice2(basepoint, basis)
+
     def test_rank_deficient_span(self):
         with pytest.raises(DomainError):
             AffineLattice2.linear_from_generators([(1, 0), (2, 0)])
@@ -80,8 +101,8 @@ class TestCanonicalForm:
         g1, g2 = zip(*lat.basis)
         p = (shift[0], shift[1])
         q = (p[0] + 3 * g1[0] - 2 * g2[0], p[1] + 3 * g1[1] - 2 * g2[1])
-        a = lat.translate(p)
-        b = lat.translate(q)
+        a = lat._through(p)
+        b = lat._through(q)
         assert a == b  # same coset, same representation
 
 
@@ -240,6 +261,48 @@ class TestIntermediates:
         assert len(mids) == len(divisors(idx))
 
 
+TRIANGLE_504 = LatticePolygon([(9619, 6855), (-5695, 545), (-3738, -1400)])
+
+
+class TestClosedFormEnds:
+    """``intermediate_lattices`` takes its two ends as they are; the loop
+    that reduced them too (``tests/helpers.py``) gives the same lattices."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(linear_lattices(bound=12))
+    def test_hypothesis_lattices(self, lat):
+        try:
+            want = reference_intermediate_lattices(lat)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as got:
+                intermediate_lattices(lat)
+            assert str(got.value) == str(exc)
+            return
+        got = intermediate_lattices(lat)
+        assert got == want
+        assert got[0] is lat
+        for mid in got:
+            assert_canonical(mid)
+
+    def test_profiles_of_corpus4(self):
+        for poly in iter_corpus(CorpusSpec(max_coordinate=4)):
+            profile = build_profile(poly)
+            for l0 in (profile.n0, profile.m0.linear_part()):
+                assert intermediate_lattices(l0) == reference_intermediate_lattices(l0)
+
+    def test_504_divisors_at_the_bound(self):
+        profile = build_profile(TRIANGLE_504)
+        for l0 in (profile.n0, profile.m0.linear_part()):
+            got = intermediate_lattices(l0)
+            assert len(got) == 504
+            assert got == reference_intermediate_lattices(l0)
+
+    def test_linear_part_of_a_linear_lattice_is_itself(self):
+        lat = even_lattice()
+        assert lat.linear_part() is lat
+        assert odd_lattice().linear_part() == lat
+
+
 def reference_rotate90(lat):
     return AffineLattice2.linear_from_generators(
         [(-g[1], g[0]) for g in zip(*lat.basis)]
@@ -296,7 +359,7 @@ class TestClosedForms:
     def test_rotate_and_translate(self, lat, point):
         for got, want in (
             (rotate90(lat), reference_rotate90(lat)),
-            (lat.translate(point), reference_translate(lat, point)),
+            (lat._through(point), reference_translate(lat, point)),
             (lat.linear_part(), lat),
         ):
             assert got == want
@@ -360,8 +423,6 @@ class TestClosedForms:
         for bad in [(1.0, 0), (1,), "ab", (True, 0)]:
             with pytest.raises(DomainError):
                 lat.contains(bad)
-            with pytest.raises(DomainError):
-                lat.translate(bad)
             with pytest.raises(DomainError):
                 affine_span([(0, 0), bad])
             with pytest.raises(DomainError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from severi_lattice.corpus import random_polygon
+from severi_lattice.corpus import CorpusSpec, iter_corpus, random_polygon
 from severi_lattice.errors import DomainError
 from severi_lattice.lattices import AffineLattice2, Z2, affine_span
 from severi_lattice.oracles import brute_force_width
@@ -13,9 +13,10 @@ from severi_lattice.polygons import (
     COORD_BOUND,
     InteriorClassification,
     LatticePolygon,
+    _validate,
 )
 
-from helpers import image_in
+from helpers import image_in, reference_validate
 
 
 class TestValidate:
@@ -99,6 +100,76 @@ class TestValidate:
         star = [pent[0], pent[2], pent[4], pent[1], pent[3]]
         with pytest.raises(DomainError):
             LatticePolygon(star)
+
+
+def assert_validates_as_the_reference(points):
+    try:
+        want = reference_validate(points)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            _validate(points)
+        assert str(got.value) == str(exc), points
+        return
+    assert _validate(points) == want, points
+    assert LatticePolygon(points).twice_area() == want[1]
+
+
+class TestOnePassValidation:
+    """The one-pass ``_validate`` against the three passes it replaced:
+    the same vertices and area, or the same error text."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=9))
+    def test_small_point_lists(self, points):
+        assert_validates_as_the_reference(points)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.integers(-COORD_BOUND - 1, COORD_BOUND + 1),
+                    st.sampled_from([1.0, True, 0.5]),
+                ),
+                st.integers(-COORD_BOUND - 1, COORD_BOUND + 1),
+            ),
+            max_size=7,
+        )
+    )
+    def test_wide_point_lists(self, points):
+        assert_validates_as_the_reference(points)
+
+    def test_corpus_edges_filled_and_reversed(self):
+        # every corpus max-coord 3 polygon with its edge points inserted,
+        # started at each point, in both orientations
+        for poly in iter_corpus(CorpusSpec(max_coordinate=3, limit=300)):
+            corners = poly.vertices
+            points = []
+            for i, (x0, y0) in enumerate(corners):
+                x1, y1 = corners[(i + 1) % len(corners)]
+                steps = gcd(x1 - x0, y1 - y0)
+                points += [
+                    (x0 + (x1 - x0) // steps * t, y0 + (y1 - y0) // steps * t)
+                    for t in range(steps)
+                ]
+            for k in range(len(points)):
+                turned = points[k:] + points[:k]
+                assert_validates_as_the_reference(turned)
+                assert_validates_as_the_reference(turned[::-1])
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [[0, 0], [4, 0], [3, 0], [4, 4], [2, 1], [0, 4]],
+            # the pass meets the reflex corner (2, 1) before the backtrack
+            [[0, 0], [4, 0], [2, 1], [4, 4], [0, 4], [0, 5]],
+        ],
+    )
+    def test_backtrack_reported_before_a_reflex_corner(self, points):
+        with pytest.raises(DomainError) as exc:
+            LatticePolygon(points)
+        assert str(exc.value) == "self-intersecting traversal (edge backtracks)"
+        assert_validates_as_the_reference(points)
 
 
 class TestFacets:

@@ -5,6 +5,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 
+import severi_lattice.lattices
+import severi_lattice.oracles
 import severi_lattice.polygons
 import severi_lattice.severi
 from severi_lattice.certificates import a_delta, component_signature, width_one_by_rank
@@ -371,6 +373,45 @@ class TestSinglePass:
             report = analyze(LatticePolygon(poly.vertices))
             assert report.classification_m0 is cls
             assert calls == {"reduce": 1}
+
+    def test_one_pick_per_lattice(
+        self, monkeypatch, triangle_d3, unit_square, diamond1, diamond2
+    ):
+        # M0's count serves its classification and the d == 1 descriptor;
+        # Pick runs once for each of the tau(idx) lattices
+        calls = Counter()
+        lengths = LatticePolygon._lengths_in
+
+        def counting_lengths(polygon, lattice):
+            calls[lattice] += 1
+            return lengths(polygon, lattice)
+
+        monkeypatch.setattr(LatticePolygon, "_lengths_in", counting_lengths)
+        needle = LatticePolygon([(0, 0), (10, 10**4), (11, 10**4), (1, 0)])
+        for poly in (triangle_d3, unit_square, diamond1, diamond2, needle):
+            calls.clear()
+            report = analyze(LatticePolygon(poly.vertices))
+            assert sum(calls.values()) == len(divisors(report.idx))
+            assert set(calls) == {c.M for c in report.components}
+
+    def test_three_reductions_at_index_one(self, monkeypatch, triangle_d3, unit_square):
+        # M0 from the edge vectors, N0 as its quarter turn and the oracle's
+        # span of the boundary points; at index one the only lattice between
+        # N0 and Z^2 is N0 itself, so intermediate_lattices reduces nothing
+        calls = Counter()
+        reduce = severi_lattice.lattices._canonical_basis
+
+        def counting_reduce(gens):
+            calls["reduce"] += 1
+            return reduce(gens)
+
+        for module in (severi_lattice.lattices, severi_lattice.severi, severi_lattice.oracles):
+            if hasattr(module, "_canonical_basis"):
+                monkeypatch.setattr(module, "_canonical_basis", counting_reduce)
+        for poly in (triangle_d3, unit_square):
+            calls.clear()
+            assert analyze(LatticePolygon(poly.vertices)).idx == 1
+            assert calls == {"reduce": 3}
 
     def test_descriptors_follow_the_divisors(self):
         for poly in iter_corpus(CorpusSpec(max_coordinate=3)):
