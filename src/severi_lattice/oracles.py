@@ -110,22 +110,27 @@ def brute_force_width(
     sup_norm, |dy| <= sup_norm and the first nonzero coordinate positive,
     ties going to the lexicographically smallest direction.
 
-    The scan skips only directions that cannot be minimizers.  Let
-    e = top vertex - bottom vertex and f = rightmost vertex - leftmost
-    vertex, so e_y = w(0, 1) and f_x = w(1, 0).  With sup_norm >= 1 the box
-    holds (1, 0) and (0, 1), so every minimizer n has w(n) <= W =
-    min(f_x, e_y).  For any two vertices u, v, n.u and n.v are two of the
-    values whose spread is w(n), so w(n) >= |n.(u - v)|; hence a minimizer
-    lies in both strips |n.e| <= W and |n.f| <= W.  For each dx the e-strip
-    is an interval of dy of length 2W / e_y <= 2 (at most three integers),
-    and only the dy of it that the f-strip also holds are evaluated.  The
-    two strips also bound dx: n.e = a and n.f = b give dx = (a*f_y -
-    b*e_y) / det(e, f) by Cramer's rule, so dx <= W * (|f_y| + e_y) /
-    |det(e, f)| unless e and f are parallel.  When f_y = 0 this reads
-    dx * f_x <= W, so dx <= 1, as f_x >= W.  Every skipped direction is
-    wider than W, so it neither wins nor ties.  O(sup_norm + vertices *
-    evaluated directions); no Gauss reduction.  DomainError unless
-    sup_norm >= 1, which the argument needs.
+    The scan skips only directions that cannot be minimizers.  With
+    sup_norm >= 1 the box holds (1, 0) and (0, 1), so every minimizer n
+    has w(n) <= W, the smaller of the two axis widths.  For any two
+    vertices u, v, n.u and n.v are two of the values whose spread is w(n),
+    so w(n) >= |n.(u - v)|; hence a minimizer lies in the strip
+    |n.g| <= W for every vertex difference g.  The scan uses two of them:
+    e = top vertex - bottom vertex, so e_y = w(0, 1) >= W, and the f of
+    largest |det(e, f)|, the difference of the two vertices extreme in
+    det(e, .), found in one pass.  det(e, f) != 0, since otherwise every
+    vertex would lie on one line parallel to e and the polygon would have
+    no area.  For each dx the e-strip is an interval of dy of length
+    2W / e_y <= 2 (at most three integers), and only the dy of it that the
+    f-strip also holds are evaluated.  The two strips also bound dx:
+    n.e = a and n.f = b give dx = (a*f_y - b*e_y) / det(e, f) by Cramer's
+    rule, so dx <= W * (|f_y| + e_y) / |det(e, f)|.  Every skipped
+    direction is wider than W, so it neither wins nor ties; and the axis
+    direction of width W lies in both strips, so the scan is never empty.
+    O(vertices * evaluated directions), plus O(1) per column dx, whose
+    count reaches sup_norm only when the strips reach the edge of the
+    box; no Gauss reduction.  DomainError unless sup_norm >= 1, which the
+    argument needs.
     """
     if sup_norm < 1:
         raise DomainError(f"sup_norm must be at least 1, got {sup_norm}")
@@ -137,15 +142,18 @@ def brute_force_width(
 
     top = max(verts, key=lambda v: v[1])
     bottom = min(verts, key=lambda v: v[1])
-    right = max(verts, key=lambda v: v[0])
-    left = min(verts, key=lambda v: v[0])
     ex, ey = top[0] - bottom[0], top[1] - bottom[1]
-    fx, fy = right[0] - left[0], right[1] - left[1]
-    bound = min(fx, ey)
+    xs = [x for x, _ in verts]
+    bound = min(max(xs) - min(xs), ey)
+    # det(e, v) - det(e, u) = det(e, v - u): f joins the vertices extreme in it
+    dets = [ex * y - ey * x for (x, y) in verts]
+    hi_v = verts[dets.index(max(dets))]
+    lo_v = verts[dets.index(min(dets))]
+    fx, fy = hi_v[0] - lo_v[0], hi_v[1] - lo_v[1]
     if fy < 0:  # the strip |n.f| <= W is the same for -f
         fx, fy = -fx, -fy
     det = ex * fy - ey * fx
-    dx_max = min(sup_norm, bound * (fy + ey) // abs(det)) if det else sup_norm
+    dx_max = min(sup_norm, bound * (fy + ey) // abs(det))
     best: tuple[int, Point] | None = None
     for dx in range(0, dx_max + 1):
         # -W <= dx*ex + dy*ey <= W with ey >= 1, and the same for f if fy > 0

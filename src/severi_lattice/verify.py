@@ -142,8 +142,16 @@ def perturb_homogeneous(x: IntMat, rng: random.Random) -> IntMat:
 
 # -- polygon checks --------------------------------------------------------
 
-# sup-norm of the direction box that brute_force_width searches
+# sup-norm of the direction box that brute_force_width searches.  On the
+# corpus its two strips, not this box, bound the scan: a box of 10**4 gives
+# the same answer on every polygon of corpus max-coord 3
+# (tests/test_closed_forms.py), and did at max-coord 4 and 5.  So the
+# "lattice width vs brute force" row compares the Gauss width with the
+# minimum over every primitive direction, not over a box.
 _WIDTH_ORACLE_SUP_NORM = 25
+
+# largest accepted --trials: one trial took at most 8.1 ms in 20,000 (README)
+_MAX_TRIALS = 10_000
 
 
 def run_verification(
@@ -161,6 +169,8 @@ def run_verification(
     """
     if trials < 0:
         raise DomainError("trials must be nonnegative")
+    if trials > _MAX_TRIALS:
+        raise DomainError(f"trials must be at most {_MAX_TRIALS}, got {trials}")
     corpus = enumerate_corpus(CorpusSpec(max_coordinate=max_coord))
     pick_z2 = CheckOutcome("pick identity over Z^2")
     pick_m0 = CheckOutcome("pick identity over M0")

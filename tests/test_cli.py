@@ -24,6 +24,7 @@ from severi_lattice.cli import (
 )
 from severi_lattice.errors import DomainError
 from severi_lattice.lattices import AffineLattice2
+from severi_lattice.verify import _MAX_TRIALS
 
 
 def write_json(path, data):
@@ -278,6 +279,15 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("trials", [_MAX_TRIALS + 1, 10**8])
+    def test_trials_above_the_cap_is_an_input_error(self, capsys, trials):
+        # rejected before the corpus is built: 10**8 trials would run for days
+        assert _MAX_TRIALS == 10_000
+        assert main(["verify", "--max-coord", "1", "--trials", str(trials)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: trials must be at most 10000, got {trials}\n"
 
 
 class TestMalformedInput:

@@ -26,6 +26,7 @@ width reduction needles at the coordinate bound.
 
 import builtins
 import random
+import sys
 from math import gcd
 
 from hypothesis import assume, example, given, settings
@@ -444,6 +445,32 @@ class TestPrunedBoxScan:
         # the 504-divisor triangle at the coordinate bound
         poly = LatticePolygon([(9619, 6855), (-5695, 545), (-3738, -1400)])
         assert brute_force_width(poly, 25) == full_box_widths(poly, (25,))[25]
+
+    def test_corpus4_evaluations(self, corpus4):
+        # width evaluations are calls of the nested spread(); the two strips
+        # always cross, so no polygon walks the box's columns
+        per_polygon = []
+
+        def count_spread(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "spread":
+                per_polygon[-1] += 1
+
+        for poly in corpus4:
+            per_polygon.append(0)
+            sys.setprofile(count_spread)
+            try:
+                brute_force_width(poly, 25)
+            finally:
+                sys.setprofile(None)
+        assert len(per_polygon) == 17978
+        assert sum(per_polygon) == 41409  # a mean of 2.30
+        assert max(per_polygon) == 16
+
+    def test_strips_not_box_bound_corpus3(self):
+        # at corpus scale the strips end well inside the box of 25, so it
+        # holds every minimizer that any larger box would find
+        for poly in iter_corpus(CorpusSpec(max_coordinate=3)):
+            assert brute_force_width(poly, 10**4) == brute_force_width(poly, 25), poly
 
 
 class TestRowWalk:
