@@ -4,12 +4,17 @@ Each check pits a formula path against an independent oracle (brute-force
 point scans, exhaustive direction searches, literal condition tests) and
 reports pass/fail counts.  Used by the ``verify`` CLI command and by the
 acceptance suite.
+
+A corpus check is a row of ``_CORPUS_ROWS``: a function that reads one
+polygon's boundary profile and the classification of its M0, and returns
+None for a pass or the failure detail.  An ``InvariantViolation`` raised
+by a row counts as that row's failure.  The table order is the order of
+the CLI table; the two random-polygon rows follow it.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
 from itertools import chain
 
 from . import severi
@@ -20,6 +25,7 @@ from .intmat import IntMat, invariant_factors, minor_gcd
 from .lattices import Z2, AffineLattice2
 from .oracles import brute_force_width, count_components_oracle
 from .polygons import InteriorClassification, LatticePolygon
+from .severi import BoundaryProfile
 
 __all__ = [
     "CheckOutcome",
@@ -39,13 +45,13 @@ class CheckOutcome:
         self.failed = 0
         self.first_failure: str | None = None
 
-    def record(self, ok: bool, detail: Callable[[], str]) -> None:
-        if ok:
+    def record(self, detail: str | None) -> None:
+        if detail is None:
             self.passed += 1
         else:
             self.failed += 1
             if self.first_failure is None:
-                self.first_failure = detail()
+                self.first_failure = detail
 
 
 class VerificationReport:
@@ -146,12 +152,95 @@ def perturb_homogeneous(x: IntMat, rng: random.Random) -> IntMat:
 # corpus its two strips, not this box, bound the scan: a box of 10**4 gives
 # the same answer on every polygon of corpus max-coord 3
 # (tests/test_closed_forms.py), and did at max-coord 4 and 5.  So the
-# "lattice width vs brute force" row compares the Gauss width with the
-# minimum over every primitive direction, not over a box.
+# width row, ``_width``, compares the Gauss width with the minimum over
+# every primitive direction, not over a box.
 _WIDTH_ORACLE_SUP_NORM = 25
 
 # largest accepted --trials: one trial took at most 8.1 ms in 20,000 (README)
 _MAX_TRIALS = 10_000
+
+
+def _pick_z2(profile: BoundaryProfile, cls_m0: InteriorClassification) -> str | None:
+    return None if profile.polygon.verify_pick(Z2) else repr(profile.polygon)
+
+
+def _pick_m0(profile: BoundaryProfile, cls_m0: InteriorClassification) -> str | None:
+    return None if profile.polygon.verify_pick(profile.m0) else repr(profile.polygon)
+
+
+def _width(profile: BoundaryProfile, cls_m0: InteriorClassification) -> str | None:
+    poly = profile.polygon
+    w_alg = poly.lattice_width(Z2)
+    w_ref = brute_force_width(poly, _WIDTH_ORACLE_SUP_NORM)
+    return None if w_alg == w_ref else f"{poly!r}: {w_alg} vs {w_ref}"
+
+
+def _lemma(profile: BoundaryProfile, cls_m0: InteriorClassification) -> str | None:
+    poly = profile.polygon
+    empty = not poly.interior_points()
+    cls = poly.classify_interior_empty(Z2)
+    if empty == (cls is not InteriorClassification.NON_EMPTY_INTERIOR):
+        return None
+    return f"{poly!r}: interior empty={empty} classified {cls}"
+
+
+def _count(profile: BoundaryProfile, cls_m0: InteriorClassification) -> str | None:
+    poly = profile.polygon
+    formula = severi._formula_count(profile, cls_m0)
+    oracle = count_components_oracle(poly)
+    return None if formula == oracle else f"{poly!r}: {formula} vs {oracle}"
+
+
+def _factors(profile: BoundaryProfile, cls_m0: InteriorClassification) -> str | None:
+    normals = a_delta(profile)
+    fs = invariant_factors(normals)
+    g1 = minor_gcd(normals, 1)
+    g2 = minor_gcd(normals, 2)
+    if fs == (1, profile.idx) and g1 == 1 and g2 == profile.idx:
+        return None
+    return f"{profile.polygon!r}: snf {fs}, minors ({g1}, {g2}), idx {profile.idx}"
+
+
+def _rotation(profile: BoundaryProfile, cls_m0: InteriorClassification) -> str | None:
+    n_span = AffineLattice2.linear_from_generators([f.normal for f in profile.facets])
+    return None if profile.n0 == n_span else repr(profile.polygon)
+
+
+def _rank(profile: BoundaryProfile, cls_m0: InteriorClassification) -> str | None:
+    poly = profile.polygon
+    pair = width_one_by_rank(profile)
+    w_m0 = poly.lattice_width(profile.m0.linear_part())[0]
+    if (pair is not None) == (w_m0 == 1):
+        return None
+    return f"{poly!r}: pair {pair}, width {w_m0}"
+
+
+def _signature(profile: BoundaryProfile, cls_m0: InteriorClassification) -> None:
+    # z must be divisible by idx, sum to zero and be constant on facet
+    # blocks; component_signature raises on the first that fails
+    component_signature(profile)
+
+
+def _monotone(profile: BoundaryProfile, cls_m0: InteriorClassification) -> str | None:
+    poly = profile.polygon
+    base = len(poly.interior_points_in(profile.m0))
+    comps = severi._descriptors(profile, cls_m0)
+    grows = all(c.d == 1 or c.interior_count > base for c in comps)
+    return None if grows else repr(poly)
+
+
+_CORPUS_ROWS = (
+    ("pick identity over Z^2", _pick_z2),
+    ("pick identity over M0", _pick_m0),
+    ("lattice width vs brute force", _width),
+    ("empty interior lemma", _lemma),
+    ("count formula vs oracle", _count),
+    ("normal matrix invariant factors (1, idx)", _factors),
+    ("rotation duality M0 <-> N0", _rotation),
+    ("width-one rank criterion", _rank),
+    ("component signature shape", _signature),
+    ("interior counts grow with the lattice", _monotone),
+)
 
 
 def run_verification(
@@ -160,121 +249,45 @@ def run_verification(
     """Run the full battery over the exhaustive corpus plus random trials.
 
     One pass per corpus polygon: its boundary profile is built once and M0
-    classified once, and the formula count and the descriptors derive from
-    them, as in ``analyze``; the oracle count and the other checks keep
-    their own paths.  The signature row records an ``InvariantViolation``
-    from ``component_signature`` as its failure.  Each polygon leaves the
-    corpus list once it is checked, so its caches are released then, not
-    at the end of the run.
+    classified once, and each row of ``_CORPUS_ROWS``, in table order (the
+    CLI table's order), reads them and returns None for a pass or the
+    failure detail; an ``InvariantViolation`` it raises is its failure.
+    The formula count and the descriptors derive from the profile, as in
+    ``analyze``; the oracle count and the other checks keep their own
+    paths.  Each polygon leaves the corpus list once it is checked, so its
+    caches are released then, not at the end of the run.
     """
     if trials < 0:
         raise DomainError("trials must be nonnegative")
     if trials > _MAX_TRIALS:
         raise DomainError(f"trials must be at most {_MAX_TRIALS}, got {trials}")
     corpus = enumerate_corpus(CorpusSpec(max_coordinate=max_coord))
-    pick_z2 = CheckOutcome("pick identity over Z^2")
-    pick_m0 = CheckOutcome("pick identity over M0")
-    width_oracle = CheckOutcome("lattice width vs brute force")
-    lemma = CheckOutcome("empty interior lemma")
-    counts = CheckOutcome("count formula vs oracle")
-    factors_check = CheckOutcome("normal matrix invariant factors (1, idx)")
-    rotation = CheckOutcome("rotation duality M0 <-> N0")
-    rank_width = CheckOutcome("width-one rank criterion")
-    signature = CheckOutcome("component signature shape")
-    monotone = CheckOutcome("interior counts grow with the lattice")
-    unimodular = CheckOutcome("unimodular invariance of the count")
-    random_counts = CheckOutcome("count formula vs oracle (random polygons)")
-
+    checks = [CheckOutcome(name) for name, _ in _CORPUS_ROWS]
     for i, poly in enumerate(corpus):
         corpus[i] = None
         profile = severi.build_profile(poly)
         cls_m0 = poly.classify_interior_empty(profile.m0)
-        pick_z2.record(poly.verify_pick(Z2), lambda: repr(poly))
-        pick_m0.record(poly.verify_pick(profile.m0), lambda: repr(poly))
+        for check, (_, row) in zip(checks, _CORPUS_ROWS):
+            try:
+                detail = row(profile, cls_m0)
+            except InvariantViolation as exc:
+                detail = f"{poly!r}: {exc}"
+            check.record(detail)
 
-        w_alg = poly.lattice_width(Z2)
-        w_ref = brute_force_width(poly, _WIDTH_ORACLE_SUP_NORM)
-        width_oracle.record(w_alg == w_ref, lambda: f"{poly!r}: {w_alg} vs {w_ref}")
-
-        empty = not poly.interior_points()
-        cls = poly.classify_interior_empty(Z2)
-        lemma.record(
-            empty == (cls is not InteriorClassification.NON_EMPTY_INTERIOR),
-            lambda: f"{poly!r}: interior empty={empty} classified {cls}",
-        )
-
-        formula = severi._formula_count(profile, cls_m0)
-        oracle = count_components_oracle(poly)
-        counts.record(formula == oracle, lambda: f"{poly!r}: {formula} vs {oracle}")
-
-        normals = a_delta(profile)
-        fs = invariant_factors(normals)
-        g1 = minor_gcd(normals, 1)
-        g2 = minor_gcd(normals, 2)
-        factors_check.record(
-            fs == (1, profile.idx) and g1 == 1 and g2 == profile.idx,
-            lambda: f"{poly!r}: snf {fs}, minors ({g1}, {g2}), idx {profile.idx}",
-        )
-
-        n_span = AffineLattice2.linear_from_generators(
-            [f.normal for f in profile.facets]
-        )
-        rotation.record(profile.n0 == n_span, lambda: repr(poly))
-
-        pair = width_one_by_rank(profile)
-        w_m0 = poly.lattice_width(profile.m0.linear_part())[0]
-        rank_width.record(
-            (pair is not None) == (w_m0 == 1),
-            lambda: f"{poly!r}: pair {pair}, width {w_m0}",
-        )
-
-        # z must be divisible by idx, sum to zero and be constant on facet
-        # blocks; component_signature raises on the first that fails
-        try:
-            component_signature(profile)
-            broken = None
-        except InvariantViolation as exc:
-            broken = f"{poly!r}: {exc}"
-        signature.record(broken is None, lambda: broken)
-
-        base = len(poly.interior_points_in(profile.m0))
-        mono_ok = True
-        for comp in severi._descriptors(profile, cls_m0):
-            if comp.d > 1 and comp.interior_count <= base:
-                mono_ok = False
-        monotone.record(mono_ok, lambda: repr(poly))
-
+    unimodular = CheckOutcome("unimodular invariance of the count")
+    random_counts = CheckOutcome("count formula vs oracle (random polygons)")
     rng = random.Random(seed)
     for _ in range(trials):
         poly = random_polygon(rng, 8)
         formula = severi.count_components(poly)
         oracle = count_components_oracle(poly)
-        random_counts.record(
-            formula == oracle, lambda: f"{poly!r}: {formula} vs {oracle}"
-        )
+        same = formula == oracle
+        random_counts.record(None if same else f"{poly!r}: {formula} vs {oracle}")
         for _ in range(3):
             image = _random_image_in_bounds(poly, rng)
-            unimodular.record(
-                severi.count_components(image) == formula,
-                lambda: f"{poly!r} -> {image!r}",
-            )
-
-    return VerificationReport(
-        checks=[
-            pick_z2,
-            pick_m0,
-            width_oracle,
-            lemma,
-            counts,
-            factors_check,
-            rotation,
-            rank_width,
-            signature,
-            monotone,
-            unimodular,
-            random_counts,
-        ]
-    )
+            same = severi.count_components(image) == formula
+            unimodular.record(None if same else f"{poly!r} -> {image!r}")
+    return VerificationReport([*checks, unimodular, random_counts])
 
 
 def _random_image_in_bounds(

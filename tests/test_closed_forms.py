@@ -19,9 +19,10 @@
 Inputs: every polygon of corpus max-coord 4 (3 for the profile) plus
 random polygons with |coordinate| <= 60 (100 for the box scan) drawn by
 hypothesis; the box scan also gets polygons that stress its second strip
-(leftmost and rightmost vertex on one row, ties on every side of the
-bounding box, long thin triangles, the 504-divisor triangle), and the
-width reduction needles at the coordinate bound.
+(a horizontal base whose two ends are the vertices extreme in det(e, .),
+so f has f_y = 0; ties on every side of the bounding box, long thin
+triangles, the 504-divisor triangle), and the width reduction needles at
+the coordinate bound.
 """
 
 import builtins
@@ -410,7 +411,9 @@ class TestPrunedBoxScan:
         st.integers(1, 79),
     )
     def test_leftmost_and_rightmost_on_one_row(self, a, up, down, p, q):
-        # f_y = 0: the f-strip bounds dx by W / f_x instead of bounding dy
+        # e runs from an apex to the base row or across it, within [0, a],
+        # so det(e, .) is extreme at the base's two ends and f = -(a, 0):
+        # f_y = 0, and the f-strip bounds dx by W / a instead of bounding dy
         assume(up or down)
         points = [(0, 0), (a, 0), (min(p, a - 1), up), (min(q, a - 1), -down)]
         poly = LatticePolygon(convex_hull(points))

@@ -1,11 +1,12 @@
 import random
 from collections import Counter
 
-from severi_lattice import certificates, severi
+from severi_lattice import certificates, severi, verify
+from severi_lattice.errors import InvariantViolation
 from severi_lattice.intmat import IntMat, minor_gcd
 from severi_lattice.lattices import Z2
 from severi_lattice.polygons import LatticePolygon
-from severi_lattice.severi import BoundaryProfile
+from severi_lattice.severi import BoundaryProfile, ComponentDescriptor
 from severi_lattice.verify import random_unimodular, run_verification
 
 from helpers import random_gl_h
@@ -114,6 +115,69 @@ class TestOnePass:
         check = self._check(report, "rotation duality M0 <-> N0")
         # only the polygons whose N0 really is Z^2 still pass
         assert check.passed > 0 and check.failed > 0 and check.first_failure
+
+    @classmethod
+    def _only_failure(cls, report, name):
+        """The row ``name``, after checking that no other row failed."""
+        check = cls._check(report, name)
+        assert not report.ok and check.first_failure
+        assert [c.name for c in report.checks if c.failed] == [name]
+        return check
+
+    def test_no_rank_pair_fails_the_rank_check(self, monkeypatch):
+        # the polygons whose M0 has width one lose their pair
+        monkeypatch.setattr(verify, "width_one_by_rank", lambda profile: None)
+        report = run_verification(max_coord=2, trials=0, seed=3)
+        check = self._only_failure(report, "width-one rank criterion")
+        assert (check.passed, check.failed) == (55, 64)
+
+    def test_wrong_invariant_factors_fail_their_check(self, monkeypatch):
+        monkeypatch.setattr(verify, "invariant_factors", lambda matrix: (1,))
+        report = run_verification(max_coord=2, trials=0, seed=3)
+        check = self._only_failure(report, "normal matrix invariant factors (1, idx)")
+        assert (check.passed, check.failed) == (0, 119)
+
+    def test_flat_interior_counts_fail_the_monotone_check(self, monkeypatch):
+        # only the polygons with a lattice above M0 (d > 1) can fail
+        exact = severi._descriptors
+
+        def flat(profile, classification):
+            return [
+                ComponentDescriptor(
+                    c.N, c.M, c.d, 0, c.is_empty_locus, c.excluded_nonbirational,
+                    c.contributes,
+                )
+                for c in exact(profile, classification)
+            ]
+
+        monkeypatch.setattr(severi, "_descriptors", flat)
+        report = run_verification(max_coord=2, trials=0, seed=3)
+        check = self._only_failure(report, "interior counts grow with the lattice")
+        assert (check.passed, check.failed) == (106, 13)
+
+    def test_wrong_image_fails_the_unimodular_check(self, monkeypatch):
+        # the unit triangle has no component; no polygon this seed draws has none
+        triangle = LatticePolygon([(0, 0), (1, 0), (0, 1)])
+        monkeypatch.setattr(verify, "_random_image_in_bounds", lambda poly, rng: triangle)
+        report = run_verification(max_coord=2, trials=10, seed=3)
+        check = self._only_failure(report, "unimodular invariance of the count")
+        assert (check.passed, check.failed) == (0, 30)
+        assert check.first_failure.endswith(f" -> {triangle!r}")
+
+    def test_a_raising_row_fails_only_itself(self, monkeypatch):
+        # an InvariantViolation raised inside a row is that row's failure,
+        # and the battery goes on to every other row and polygon
+        def broken(poly):
+            raise InvariantViolation("planted")
+
+        monkeypatch.setattr(verify, "count_components_oracle", broken)
+        report = run_verification(max_coord=2, trials=0, seed=3)
+        assert len(report.checks) == 12
+        check = self._only_failure(report, "count formula vs oracle")
+        assert (check.passed, check.failed) == (0, 119)
+        assert check.first_failure.startswith("LatticePolygon(")
+        assert check.first_failure.endswith(": planted")
+        assert all(c.passed == 119 for c in report.checks[:10] if c is not check)
 
 
 def test_random_unimodular_is_unimodular():
