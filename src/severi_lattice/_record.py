@@ -1,8 +1,13 @@
 """Base class of the library's immutable value objects.
 
-A subclass lists its fields in ``__slots__``, in order, and sets them in its
-``__init__`` with ``object.__setattr__``.  It gets what a frozen dataclass
-gets, without importing ``dataclasses``: equality within its class, a hash
+A subclass lists its fields in ``__slots__``, in order, and is built one
+way, ``cls(*fields)`` (trailing fields may be named): each field is set
+through its slot descriptor, and a wrong field count raises ``TypeError``.
+A validating subclass runs its checks in ``__init__`` and then calls
+``super().__init__``; a trusted builder fills an ``object.__new__``
+instance with ``Record.__init__``.  A field that can be derived from the
+others is a property, not a slot.  Subclasses get what a frozen dataclass
+gets, without importing ``dataclasses``: equality within the class, a hash
 and a ``Name(field=value, ...)`` repr of the fields, ``AttributeError`` on
 assignment, and pickling and copying through the constructor.
 """
@@ -15,8 +20,18 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # the field tuple, read in C; every subclass has two fields or more
+        # the field tuple, read in C, and the slot setters; two fields or more
         cls._values = property(attrgetter(*cls.__slots__))
+        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+
+    def __init__(self, *fields, **named):
+        if named:  # named fields follow the positional ones, in slot order
+            rest = self.__slots__[len(fields) :]
+            fields += tuple(named.pop(name) for name in rest if name in named)
+        if named or len(fields) != len(self._setters):
+            raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
+        for put, value in zip(self._setters, fields):
+            put(self, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

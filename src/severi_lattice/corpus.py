@@ -57,8 +57,7 @@ class CorpusSpec(Record):
             )
         if limit is not None and limit < 0:
             raise DomainError("limit must be nonnegative")
-        object.__setattr__(self, "max_coordinate", max_coordinate)
-        object.__setattr__(self, "limit", limit)
+        super().__init__(max_coordinate, limit)
 
 
 def _angular_directions(bound: int) -> list[Point]:

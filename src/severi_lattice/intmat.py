@@ -54,18 +54,14 @@ class IntMat(Record):
         for e in entries:
             if type(e) is not int:
                 raise DomainError(f"matrix entries must be plain ints, got {e!r}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        super().__init__(rows, cols, entries)
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, entries: tuple[int, ...]) -> "IntMat":
         """A matrix the library built itself: ``entries`` is already a tuple
         of ``rows * cols`` plain ints, so no check runs."""
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", entries)
+        Record.__init__(m, rows, cols, entries)
         return m
 
     @classmethod
@@ -131,31 +127,17 @@ class IntMat(Record):
             raise DomainError("matrix JSON cols field disagrees with entries")
         return m
 
-    def __str__(self) -> str:
-        rows = self.to_rows()
-        return "[" + "; ".join(" ".join(str(v) for v in r) for r in rows) + "]"
-
 
 class SnfResult(Record):
     """Certified Smith normal form: Q @ X == D @ P with Q, P unimodular."""
 
     __slots__ = ("Q", "D", "P")
 
-    def __init__(self, Q: IntMat, D: IntMat, P: IntMat) -> None:
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "P", P)
-
 
 class HsnfResult(Record):
     """Certified homogeneous Smith normal form: Q @ X == A @ P, P @ 1 == 1."""
 
     __slots__ = ("Q", "A", "P")
-
-    def __init__(self, Q: IntMat, A: IntMat, P: IntMat) -> None:
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "P", P)
 
 
 def _det_rows(m: list[list[int]], n: int) -> int:
@@ -330,9 +312,9 @@ def snf(x: IntMat) -> SnfResult:
     p = [[1 if i == j else 0 for j in range(l)] for i in range(l)]
     _smith_reduce(cols, s, l, q, p)
     return SnfResult(
-        Q=IntMat._trusted(s, s, tuple(chain.from_iterable(q))),
-        D=IntMat._trusted(s, l, tuple(chain.from_iterable(zip(*cols)))),
-        P=IntMat._trusted(l, l, tuple(chain.from_iterable(p))),
+        IntMat._trusted(s, s, tuple(chain.from_iterable(q))),
+        IntMat._trusted(s, l, tuple(chain.from_iterable(zip(*cols)))),
+        IntMat._trusted(l, l, tuple(chain.from_iterable(p))),
     )
 
 
@@ -458,16 +440,6 @@ def minor_gcd(x: IntMat, k: int) -> int:
     return g
 
 
-def _erase_first_col(x: IntMat) -> IntMat:
-    c = x.cols
-    e = x.entries
-    return IntMat._trusted(
-        x.rows,
-        c - 1,
-        tuple(chain.from_iterable(e[i + 1 : i + c] for i in range(0, len(e), c))),
-    )
-
-
 def _require_homogeneous(x: IntMat) -> None:
     if any(x.row_sums()):
         raise DomainError("matrix rows must sum to zero (X @ 1 == 0)")
@@ -489,21 +461,19 @@ def hsnf(x: IntMat) -> HsnfResult:
     s, l = x.rows, x.cols
     if l == 1:
         # zero row sums force x == 0; it is its own (trivial) normal form
-        return HsnfResult(Q=IntMat.identity(s), A=x, P=IntMat.identity(1))
-    inner = snf(_erase_first_col(x))
+        return HsnfResult(IntMat.identity(s), x, IntMat.identity(1))
+    e = x.entries
+    erased = chain.from_iterable(e[i + 1 : i + l] for i in range(0, s * l, l))
+    inner = snf(IntMat._trusted(s, l - 1, tuple(erased)))
+    # each row of P' and D, led by the entry that makes its row sum 1 or 0
     p_flat = [1] + [0] * (l - 1)
     for r in inner.P.to_rows():
-        p_flat.append(1 - sum(r))
-        p_flat.extend(r)
-    a_flat: list[int] = []
-    for i in range(s):
-        drow = inner.D.row(i)
-        a_flat.append(-sum(drow))
-        a_flat.extend(drow)
+        p_flat += [1 - sum(r), *r]
+    a_flat = [v for r in inner.D.to_rows() for v in (-sum(r), *r)]
     return HsnfResult(
-        Q=inner.Q,
-        A=IntMat._trusted(s, l, tuple(a_flat)),
-        P=IntMat._trusted(l, l, tuple(p_flat)),
+        inner.Q,
+        IntMat._trusted(s, l, tuple(a_flat)),
+        IntMat._trusted(l, l, tuple(p_flat)),
     )
 
 

@@ -93,8 +93,7 @@ def _canonical(point: Point, d1: int, e: int, d2: int) -> "AffineLattice2":
     x, y = point
     k = y // d2
     lat = object.__new__(AffineLattice2)
-    object.__setattr__(lat, "basepoint", ((x - k * e) % d1, y - k * d2))
-    object.__setattr__(lat, "basis", ((d1, e), (0, d2)))
+    Record.__init__(lat, ((x - k * e) % d1, y - k * d2), ((d1, e), (0, d2)))
     return lat
 
 
@@ -116,8 +115,7 @@ class AffineLattice2(Record):
         bx, by = basepoint
         if not (0 <= by < d2 and 0 <= bx < d1):
             raise DomainError(f"basepoint {basepoint} is not reduced")
-        object.__setattr__(self, "basepoint", basepoint)
-        object.__setattr__(self, "basis", basis)
+        super().__init__(basepoint, basis)
 
     @classmethod
     def from_generators(
@@ -132,31 +130,16 @@ class AffineLattice2(Record):
         return cls.from_generators((0, 0), gens)
 
     @property
-    def d1(self) -> int:
-        return self.basis[0][0]
-
-    @property
-    def e(self) -> int:
-        return self.basis[0][1]
-
-    @property
-    def d2(self) -> int:
-        return self.basis[1][1]
-
-    @property
     def is_linear(self) -> bool:
         return self.basepoint == (0, 0)
 
     @property
     def index_in_z2(self) -> int:
         """Index of the linear part in Z^2 (determinant of the basis)."""
-        return self.d1 * self.d2
+        return self.basis[0][0] * self.basis[1][1]
 
     def linear_part(self) -> "AffineLattice2":
-        if self.is_linear:
-            return self
-        (d1, e), (_, d2) = self.basis
-        return _canonical((0, 0), d1, e, d2)
+        return self if self.is_linear else self._through((0, 0))
 
     def contains(self, point: Sequence[int]) -> bool:
         """Membership test by solving the triangular system over Z."""
@@ -184,7 +167,8 @@ class AffineLattice2(Record):
         }
 
     def __str__(self) -> str:
-        return f"{self.basepoint} + <({self.d1},0), ({self.e},{self.d2})>"
+        (d1, e), (_, d2) = self.basis
+        return f"{self.basepoint} + <({d1},0), ({e},{d2})>"
 
 
 Z2 = AffineLattice2((0, 0), ((1, 0), (0, 1)))

@@ -51,18 +51,11 @@ class Facet(Record):
     """One side of the polygon with its integral length and inner normal."""
 
     # length: integral length (gcd of |vector|); normal: primitive inner normal
-    __slots__ = ("index", "start", "end", "vector", "length", "normal")
+    __slots__ = ("index", "start", "vector", "length", "normal")
 
-    def __init__(
-        self, index: int, start: Point, end: Point, vector: Point, length: int,
-        normal: Point,
-    ) -> None:
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "vector", vector)
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "normal", normal)
+    @property
+    def end(self) -> Point:
+        return (self.start[0] + self.vector[0], self.start[1] + self.vector[1])
 
     def to_json_dict(self) -> dict:
         return {
@@ -147,16 +140,7 @@ class LatticePolygon:
                 length = gcd(abs(vx), abs(vy))
                 # CCW orientation puts the interior to the left of each edge
                 normal = (-vy // length, vx // length)
-                out.append(
-                    Facet(
-                        index=j,
-                        start=a,
-                        end=b,
-                        vector=(vx, vy),
-                        length=length,
-                        normal=normal,
-                    )
-                )
+                out.append(Facet(j, a, (vx, vy), length, normal))
             self._cache["facets"] = tuple(out)
         return self._cache["facets"]
 

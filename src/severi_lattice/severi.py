@@ -28,14 +28,13 @@ from . import oracles
 from ._record import Record
 from .errors import InvariantViolation
 from .lattices import (
-    AffineLattice2,
     _canonical,
     _canonical_basis,
     divisors,
     intermediate_lattices,
     rotate90,
 )
-from .polygons import Facet, InteriorClassification, LatticePolygon
+from .polygons import InteriorClassification, LatticePolygon
 
 __all__ = [
     "BoundaryProfile",
@@ -46,8 +45,6 @@ __all__ = [
     "count_components",
     "analyze",
 ]
-
-Point = tuple[int, int]
 
 
 class BoundaryProfile(Record):
@@ -61,16 +58,6 @@ class BoundaryProfile(Record):
     """
 
     __slots__ = ("polygon", "facets", "m0", "n0", "idx")
-
-    def __init__(
-        self, polygon: LatticePolygon, facets: tuple[Facet, ...], m0: AffineLattice2,
-        n0: AffineLattice2, idx: int,
-    ) -> None:
-        object.__setattr__(self, "polygon", polygon)
-        object.__setattr__(self, "facets", facets)
-        object.__setattr__(self, "m0", m0)
-        object.__setattr__(self, "n0", n0)
-        object.__setattr__(self, "idx", idx)
 
     @property
     def l(self) -> int:
@@ -98,9 +85,7 @@ def build_profile(polygon: LatticePolygon) -> BoundaryProfile:
     gens = [(f.vector[0] // f.length, f.vector[1] // f.length) for f in facets]
     m0 = _canonical(polygon.vertices[0], *_canonical_basis(gens))
     n0 = rotate90(m0.linear_part())
-    return BoundaryProfile(
-        polygon=polygon, facets=facets, m0=m0, n0=n0, idx=n0.index_in_z2
-    )
+    return BoundaryProfile(polygon, facets, m0, n0, n0.index_in_z2)
 
 
 class ComponentDescriptor(Record):
@@ -113,20 +98,12 @@ class ComponentDescriptor(Record):
         "interior_count",  # |interior(polygon) ∩ M|
         "is_empty_locus",  # excised: the kernel locus is empty
         "excluded_nonbirational",  # excised: its curves are non-birational covers
-        "contributes",
     )
 
-    def __init__(
-        self, N: AffineLattice2, M: AffineLattice2, d: int, interior_count: int,
-        is_empty_locus: bool, excluded_nonbirational: bool, contributes: bool,
-    ) -> None:
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "interior_count", interior_count)
-        object.__setattr__(self, "is_empty_locus", is_empty_locus)
-        object.__setattr__(self, "excluded_nonbirational", excluded_nonbirational)
-        object.__setattr__(self, "contributes", contributes)
+    @property
+    def contributes(self) -> bool:
+        """A component of the Severi variety: neither excised case holds."""
+        return not (self.is_empty_locus or self.excluded_nonbirational)
 
     def to_json_dict(self) -> dict:
         return {
@@ -178,17 +155,10 @@ def _descriptors(
     # intermediate_lattices is sorted by [N : n0], as divisors lists each d
     for d, n_lat in zip(divisors(profile.idx), intermediate_lattices(profile.n0)):
         m_lat = m0 if d == 1 else rotate90(n_lat)._through(m0.basepoint)
-        empty = d == 1 and width_one
-        excluded = d == 1 and twice_primitive
         out.append(
             ComponentDescriptor(
-                N=n_lat,
-                M=m_lat,
-                d=d,
-                interior_count=polygon.interior_count_in(m_lat),
-                is_empty_locus=empty,
-                excluded_nonbirational=excluded,
-                contributes=not (empty or excluded),
+                n_lat, m_lat, d, polygon.interior_count_in(m_lat),
+                d == 1 and width_one, d == 1 and twice_primitive,
             )
         )
     return out
@@ -205,42 +175,30 @@ def _formula_count(
 
 
 class SeveriReport(Record):
-    """Aggregate analysis of one polygon."""
+    """Aggregate analysis of one polygon: its boundary profile (the polygon,
+    facets, m0, n0 and idx), the lattice width of M0 with a direction that
+    attains it, M0's interior classification and the descriptors."""
 
     __slots__ = (
-        "polygon", "l", "facets", "idx", "m0", "n0", "width_m0",
-        "width_m0_direction", "classification_m0", "components", "component_count",
+        "profile", "width_m0", "width_m0_direction", "classification_m0", "components",
     )
 
-    def __init__(
-        self, polygon: LatticePolygon, l: int, facets: tuple[Facet, ...], idx: int,
-        m0: AffineLattice2, n0: AffineLattice2, width_m0: int,
-        width_m0_direction: Point, classification_m0: InteriorClassification,
-        components: tuple[ComponentDescriptor, ...], component_count: int,
-    ) -> None:
-        object.__setattr__(self, "polygon", polygon)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "facets", facets)
-        object.__setattr__(self, "idx", idx)
-        object.__setattr__(self, "m0", m0)
-        object.__setattr__(self, "n0", n0)
-        object.__setattr__(self, "width_m0", width_m0)
-        object.__setattr__(self, "width_m0_direction", width_m0_direction)
-        object.__setattr__(self, "classification_m0", classification_m0)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "component_count", component_count)
+    @property
+    def component_count(self) -> int:
+        return sum(1 for c in self.components if c.contributes)
 
     def to_json_dict(self) -> dict:
+        profile = self.profile
         return {
-            "polygon": {"vertices": [list(v) for v in self.polygon.vertices]},
-            "l": self.l,
+            "polygon": {"vertices": [list(v) for v in profile.polygon.vertices]},
+            "l": profile.l,
             # l + g - 1 at genus g = 1
-            "severi_dimension": self.l,
-            "facets": [f.to_json_dict() for f in self.facets],
-            "idx": self.idx,
+            "severi_dimension": profile.l,
+            "facets": [f.to_json_dict() for f in profile.facets],
+            "idx": profile.idx,
             "divisors": [c.d for c in self.components],
-            "m0": self.m0.to_json_dict(),
-            "n0": self.n0.to_json_dict(),
+            "m0": profile.m0.to_json_dict(),
+            "n0": profile.n0.to_json_dict(),
             "lattice_width_m0": {
                 "width": self.width_m0,
                 "direction": list(self.width_m0_direction),
@@ -261,8 +219,12 @@ def analyze(polygon: LatticePolygon) -> SeveriReport:
     """
     profile = build_profile(polygon)
     classification = polygon.classify_interior_empty(profile.m0)
-    components = tuple(_descriptors(profile, classification))
-    count = sum(1 for c in components if c.contributes)
+    width, direction = polygon.lattice_width(profile.m0.linear_part())
+    report = SeveriReport(
+        profile, width, direction, classification,
+        tuple(_descriptors(profile, classification)),
+    )
+    count = report.component_count
     formula = _formula_count(profile, classification)
     if count != formula:
         raise InvariantViolation(
@@ -273,17 +235,4 @@ def analyze(polygon: LatticePolygon) -> SeveriReport:
         raise InvariantViolation(
             f"component count {count} disagrees with the oracle count {oracle}"
         )
-    width, direction = polygon.lattice_width(profile.m0.linear_part())
-    return SeveriReport(
-        polygon=polygon,
-        l=profile.l,
-        facets=profile.facets,
-        idx=profile.idx,
-        m0=profile.m0,
-        n0=profile.n0,
-        width_m0=width,
-        width_m0_direction=direction,
-        classification_m0=classification,
-        components=components,
-        component_count=count,
-    )
+    return report

@@ -7,14 +7,20 @@ acceptance suite.
 
 A corpus check is a row of ``_CORPUS_ROWS``: a function that reads one
 polygon's boundary profile and the classification of its M0, and returns
-None for a pass or the failure detail.  An ``InvariantViolation`` raised
-by a row counts as that row's failure.  The table order is the order of
+None for a pass or the failure detail.  The table order is the order of
 the CLI table; the two random-polygon rows follow it.
+
+One failure rule holds for the whole battery: an ``InvariantViolation``
+fails every row it keeps from being computed, and the battery goes on.
+Raised by a row, it fails that row; raised by the profile build or M0's
+classification, every row of that polygon (all ten corpus rows, or a
+random trial's count row and its three image rows).
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 from itertools import chain
 
 from . import severi
@@ -243,6 +249,30 @@ _CORPUS_ROWS = (
 )
 
 
+def _image_count(
+    image: LatticePolygon, profile: BoundaryProfile, cls_m0: InteriorClassification
+) -> str | None:
+    same = severi.count_components(image) == severi._formula_count(profile, cls_m0)
+    return None if same else f"{profile.polygon!r} -> {image!r}"
+
+
+def _details(poly: LatticePolygon, rows) -> list[str | None]:
+    """Each row's detail on ``poly``'s profile and M0's classification,
+    both built once, under the module's one failure rule."""
+    try:
+        profile = severi.build_profile(poly)
+        cls_m0 = poly.classify_interior_empty(profile.m0)
+    except InvariantViolation as exc:
+        return [f"{poly!r}: {exc}"] * len(rows)
+    details = []
+    for row in rows:
+        try:
+            details.append(row(profile, cls_m0))
+        except InvariantViolation as exc:
+            details.append(f"{poly!r}: {exc}")
+    return details
+
+
 def run_verification(
     max_coord: int = 4, trials: int = 100, seed: int = 0
 ) -> VerificationReport:
@@ -251,11 +281,12 @@ def run_verification(
     One pass per corpus polygon: its boundary profile is built once and M0
     classified once, and each row of ``_CORPUS_ROWS``, in table order (the
     CLI table's order), reads them and returns None for a pass or the
-    failure detail; an ``InvariantViolation`` it raises is its failure.
-    The formula count and the descriptors derive from the profile, as in
-    ``analyze``; the oracle count and the other checks keep their own
-    paths.  Each polygon leaves the corpus list once it is checked, so its
-    caches are released then, not at the end of the run.
+    failure detail; a random trial's polygon feeds its count row and three
+    image rows the same way.  The formula count and the descriptors derive
+    from the profile, as in ``analyze``; the oracle count and the other
+    checks keep their own paths.  Each polygon leaves the corpus list once
+    it is checked, so its caches are released then, not at the end of the
+    run.
     """
     if trials < 0:
         raise DomainError("trials must be nonnegative")
@@ -263,15 +294,10 @@ def run_verification(
         raise DomainError(f"trials must be at most {_MAX_TRIALS}, got {trials}")
     corpus = enumerate_corpus(CorpusSpec(max_coordinate=max_coord))
     checks = [CheckOutcome(name) for name, _ in _CORPUS_ROWS]
+    rows = [row for _, row in _CORPUS_ROWS]
     for i, poly in enumerate(corpus):
         corpus[i] = None
-        profile = severi.build_profile(poly)
-        cls_m0 = poly.classify_interior_empty(profile.m0)
-        for check, (_, row) in zip(checks, _CORPUS_ROWS):
-            try:
-                detail = row(profile, cls_m0)
-            except InvariantViolation as exc:
-                detail = f"{poly!r}: {exc}"
+        for check, detail in zip(checks, _details(poly, rows)):
             check.record(detail)
 
     unimodular = CheckOutcome("unimodular invariance of the count")
@@ -279,14 +305,12 @@ def run_verification(
     rng = random.Random(seed)
     for _ in range(trials):
         poly = random_polygon(rng, 8)
-        formula = severi.count_components(poly)
-        oracle = count_components_oracle(poly)
-        same = formula == oracle
-        random_counts.record(None if same else f"{poly!r}: {formula} vs {oracle}")
-        for _ in range(3):
-            image = _random_image_in_bounds(poly, rng)
-            same = severi.count_components(image) == formula
-            unimodular.record(None if same else f"{poly!r} -> {image!r}")
+        # no row draws from rng, so the images come first
+        images = [_random_image_in_bounds(poly, rng) for _ in range(3)]
+        trial = [_count] + [partial(_image_count, image) for image in images]
+        outcomes = [random_counts] + [unimodular] * len(images)
+        for check, detail in zip(outcomes, _details(poly, trial)):
+            check.record(detail)
     return VerificationReport([*checks, unimodular, random_counts])
 
 

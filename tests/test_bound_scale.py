@@ -32,8 +32,8 @@ def _timed_analyze(vertices):
 
 def test_diamond():
     report = _timed_analyze([(R, 0), (0, R), (-R, 0), (0, -R)])
-    assert report.l == 4 * R
-    assert report.idx == 2
+    assert report.profile.l == 4 * R
+    assert report.profile.idx == 2
     # M0 is the coset x + y = R (mod 2): (R - 1)^2 interior points; Z^2
     # holds 2R^2 - 2R + 1 by Pick
     assert [(c.d, c.interior_count) for c in report.components] == [
@@ -45,7 +45,7 @@ def test_diamond():
 
 def test_triangle():
     report = _timed_analyze([(-R, -R), (R, -R), (-R, R)])
-    assert report.l == 6 * R
+    assert report.profile.l == 6 * R
     assert [(c.d, c.interior_count) for c in report.components] == [
         (1, 2 * R * R - 3 * R + 1)
     ]

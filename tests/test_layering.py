@@ -161,6 +161,21 @@ def test_only_the_corpus_builds_unvalidated_polygons():
     assert set(builders) == {"LatticePolygon", "IntMat"}
 
 
+def test_only_the_record_base_sets_fields_behind_the_frozen_guard():
+    # every record is filled by Record.__init__, through its slot
+    # descriptors; no other module may write past Record.__setattr__
+    setters = {
+        module
+        for module in MODULES
+        for node in ast.walk(_tree(module))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+    }
+    assert setters <= {"_record"}
+
+
 def test_the_parser_sees_each_import_form():
     # the checks above are only as good as these two readers
     assert imported("cli") >= {"severi", "corpus", "intmat"}

@@ -1,8 +1,9 @@
 """The value-object contract that every ``Record`` subclass keeps.
 
-Equality within one class, a hash of the field tuple, the dataclass-style
-repr, refusal of assignment and deletion, and pickling and copying by
-calling the class again on the field values.
+One constructor, ``cls(*fields)`` in slot order, which refuses a wrong
+field count; equality within one class, a hash of the field tuple, the
+dataclass-style repr, refusal of assignment and deletion, and pickling and
+copying by calling the class again on the field values.
 """
 
 import copy
@@ -48,6 +49,37 @@ def test_every_record_class_is_covered():
         if c.__module__.startswith("severi_lattice.")
     }
     assert library == set(BUILDERS)
+
+
+# the classes that check their input before they store it
+VALIDATING = {"IntMat", "AffineLattice2", "CorpusSpec"}
+
+
+def test_only_the_validating_classes_define_a_constructor():
+    defines = {name for name in BUILDERS if "__init__" in vars(type(BUILDERS[name]()))}
+    assert defines == VALIDATING
+
+
+@pytest.mark.parametrize("name", sorted(set(BUILDERS) - VALIDATING))
+def test_a_wrong_field_count_raises(name):
+    # the fields in slot order, never truncated or padded
+    a = BUILDERS[name]()
+    cls, slots = type(a), a.__slots__
+    fields = [getattr(a, f) for f in slots]
+    assert cls(*fields) == a
+    assert cls(fields[0], **dict(zip(slots[1:], fields[1:]))) == a
+    named = dict(zip(slots, fields))
+    wrong = [
+        (fields[:-1], {}),
+        (fields + [fields[0]], {}),
+        ([], {}),
+        (fields[:1], {slots[0]: fields[0]}),
+        (fields, {"extra": 1}),
+        ([], {k: v for k, v in named.items() if k != slots[-1]}),
+    ]
+    for args, kwargs in wrong:
+        with pytest.raises(TypeError, match="takes the fields"):
+            cls(*args, **kwargs)
 
 
 @pytest.fixture(params=sorted(BUILDERS))

@@ -300,12 +300,12 @@ class TestAnalyze:
             report.classification_m0
             is InteriorClassification.TWICE_PRIMITIVE_TRIANGLE
         )
-        assert report.l == 6
+        assert report.profile.l == 6
         assert [c.d for c in report.components] == [1]
 
     def test_diamond2_report(self, diamond2):
         report = analyze(diamond2)
-        assert report.idx == 2
+        assert report.profile.idx == 2
         assert [c.d for c in report.components] == [1, 2]
         assert report.component_count == 2
         assert report.width_m0 == 2
@@ -391,7 +391,7 @@ class TestSinglePass:
         for poly in (triangle_d3, unit_square, diamond1, diamond2, needle):
             calls.clear()
             report = analyze(LatticePolygon(poly.vertices))
-            assert sum(calls.values()) == len(divisors(report.idx))
+            assert sum(calls.values()) == len(divisors(report.profile.idx))
             assert set(calls) == {c.M for c in report.components}
 
     def test_three_reductions_at_index_one(self, monkeypatch, triangle_d3, unit_square):
@@ -410,17 +410,17 @@ class TestSinglePass:
                 monkeypatch.setattr(module, "_canonical_basis", counting_reduce)
         for poly in (triangle_d3, unit_square):
             calls.clear()
-            assert analyze(LatticePolygon(poly.vertices)).idx == 1
+            assert analyze(LatticePolygon(poly.vertices)).profile.idx == 1
             assert calls == {"reduce": 3}
 
     def test_descriptors_follow_the_divisors(self):
         for poly in iter_corpus(CorpusSpec(max_coordinate=3)):
             report = analyze(poly)
-            assert [c.d for c in report.components] == divisors(report.idx)
+            assert [c.d for c in report.components] == divisors(report.profile.idx)
             for c in report.components:
                 # d == [N : n0]
-                assert all(c.N.contains(g) for g in zip(*report.n0.basis))
-                assert report.n0.index_in_z2 == c.d * c.N.index_in_z2
+                assert all(c.N.contains(g) for g in zip(*report.profile.n0.basis))
+                assert report.profile.n0.index_in_z2 == c.d * c.N.index_in_z2
             assert report.component_count == sum(
                 c.contributes for c in report.components
             )

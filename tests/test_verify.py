@@ -144,8 +144,7 @@ class TestOnePass:
         def flat(profile, classification):
             return [
                 ComponentDescriptor(
-                    c.N, c.M, c.d, 0, c.is_empty_locus, c.excluded_nonbirational,
-                    c.contributes,
+                    c.N, c.M, c.d, 0, c.is_empty_locus, c.excluded_nonbirational
                 )
                 for c in exact(profile, classification)
             ]
@@ -178,6 +177,54 @@ class TestOnePass:
         assert check.first_failure.startswith("LatticePolygon(")
         assert check.first_failure.endswith(": planted")
         assert all(c.passed == 119 for c in report.checks[:10] if c is not check)
+
+    @staticmethod
+    def _failed(report):
+        return {c.name: (c.passed, c.failed) for c in report.checks if c.failed}
+
+    def test_a_raising_oracle_fails_its_rows_in_the_random_trials_too(
+        self, monkeypatch
+    ):
+        # before, the first random trial let the violation escape: no report
+        def broken(poly):
+            raise InvariantViolation("planted")
+
+        monkeypatch.setattr(verify, "count_components_oracle", broken)
+        report = run_verification(max_coord=1, trials=2, seed=3)
+        assert len(report.checks) == 12
+        assert self._failed(report) == {
+            "count formula vs oracle": (0, 5),
+            "count formula vs oracle (random polygons)": (0, 2),
+        }
+        random_row = self._check(report, "count formula vs oracle (random polygons)")
+        assert random_row.first_failure.endswith(": planted")
+        assert self._check(report, "unimodular invariance of the count").passed == 6
+
+    def test_a_raising_profile_fails_every_row_it_feeds(self, monkeypatch):
+        # the profile feeds every corpus row, and every count of a random
+        # trial builds one; the images are still drawn, so the rng order holds
+        def broken(poly):
+            raise InvariantViolation("planted")
+
+        drawn = []
+        image = verify._random_image_in_bounds
+
+        def counting_image(poly, rng):
+            drawn.append(poly)
+            return image(poly, rng)
+
+        monkeypatch.setattr(severi, "build_profile", broken)
+        monkeypatch.setattr(verify, "_random_image_in_bounds", counting_image)
+        report = run_verification(max_coord=1, trials=2, seed=3)
+        assert len(report.checks) == 12
+        expected = {name: (0, 5) for name, _ in verify._CORPUS_ROWS}
+        expected["unimodular invariance of the count"] = (0, 6)
+        expected["count formula vs oracle (random polygons)"] = (0, 2)
+        assert self._failed(report) == expected
+        for check in report.checks:
+            assert check.first_failure.startswith("LatticePolygon(")
+            assert check.first_failure.endswith(": planted")
+        assert len(drawn) == 6
 
 
 def test_random_unimodular_is_unimodular():
