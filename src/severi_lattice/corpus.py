@@ -5,15 +5,19 @@ convex lattice polygon is, up to translation, exactly a choice of pairwise
 non-parallel edge vectors summing to zero, each a positive multiple of a
 primitive direction, traversed in angular order.  A depth-first walk picks
 each next edge directly (a later direction, then its multiple) and is cut
-as soon as it cannot close inside the box.  Every translation class inside
+as soon as it cannot close inside the box.  A step of the walk examines
+only the directions whose unit step keeps its extents inside the box, from
+an index of them kept per extent state.  Every translation class inside
 the box is produced exactly once, held as one order-preserving integer key
-(its coordinates as digits in base ``bound + 2``), and the keys are sorted
-once and decoded one polygon at a time as the corpus is streamed.
+(one byte per vertex), and the keys are sorted once and decoded one
+polygon at a time, each by one table lookup per byte, as the corpus is
+streamed.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from functools import cmp_to_key
 from itertools import accumulate, islice
@@ -34,7 +38,9 @@ __all__ = [
 
 Point = tuple[int, int]
 
-MAX_EXHAUSTIVE_COORD = 6  # desk-scale bound for exhaustive enumeration
+# desk-scale bound for exhaustive enumeration; the enumerator's keys hold a
+# vertex (x, y) as the byte (x + 1) * 16 + y + 1, so it must stay <= 14
+MAX_EXHAUSTIVE_COORD = 6
 
 
 class CorpusSpec(Record):
@@ -73,6 +79,19 @@ def _angular_directions(bound: int) -> list[Point]:
     )
 
 
+def _fitting_directions(
+    dirs: Sequence[Point], bound: int, px: int, nx: int, py: int, ny: int
+) -> list[int]:
+    """Indices, in angular order, of the directions whose unit step keeps a
+    walk with x/y extents ``px, nx, py, ny`` inside the box."""
+    return [
+        j
+        for j, (dx, dy) in enumerate(dirs)
+        if (px + dx if dx > 0 else nx - dx) <= bound
+        and (py + dy if dy > 0 else ny - dy) <= bound
+    ]
+
+
 def _edge_classes(bound: int) -> Iterator[tuple[Point, ...]]:
     """All convex polygons in the box, as vertex tuples with the minimum
     corner at the origin, one per translation class, in sorted order.
@@ -89,12 +108,21 @@ def _edge_classes(bound: int) -> Iterator[tuple[Point, ...]]:
     reachable displacement ranges, and, once the directions left span less
     than a half-turn, by the cone they span.
 
-    Each class is held as one integer key: coordinate c is the digit c + 1
-    in base ``bound + 2``, vertex after vertex, x before y, and the digits
-    are padded with zeros to a fixed length.  Integer order is then the
-    order of the vertex tuples, a shorter tuple first where it is a prefix.
-    The keys are sorted once and decoded one class at a time as they are
-    yielded.
+    A node examines only the directions whose unit step keeps its extents
+    inside the box.  No multiple of any other direction fits, and none can
+    be the closing edge: a closed walk gains as much x (and y) as it loses,
+    so the closing edge takes an extent at most to the opposite one.  The
+    directions that fit are indexed by the extent state ``(px, nx, py,
+    ny)``, each state's list built the first time the walk reaches it, and
+    a node starts in its list at its first allowed direction, by bisection.
+    The walk records the same keys as one that examines every direction.
+
+    Each class is held as one integer key, one byte per vertex: vertex
+    (x, y) is the byte (x + 1) * 16 + y + 1, never zero, vertex after
+    vertex, padded with zero bytes to a fixed length.  Integer order is
+    then the order of the vertex tuples, a shorter tuple first where it is
+    a prefix.  The keys are sorted once, and each is decoded as it is
+    yielded, by mapping its bytes, zero padding stripped, through a table.
     """
     dirs = _angular_directions(bound)
     n = len(dirs)
@@ -113,26 +141,28 @@ def _edge_classes(bound: int) -> Iterator[tuple[Point, ...]]:
     lx, ly = dirs[-1]
     # from direction ``narrow`` on, the directions left span under a half-turn
     narrow = next(j for j, (dx, dy) in enumerate(dirs) if dx * ly - dy * lx > 0)
+    fitting: dict[tuple[int, int, int, int], list[int]] = {}
 
     # a walk's extents are at most ``bound`` each way, so its edges' |dx| + |dy|
     # sum to at most 4 * bound; no two share a direction, so it has at most
     # as many edges as the cheapest directions that fit that sum
     costs = accumulate(sorted(abs(dx) + abs(dy) for dx, dy in dirs))
     slots = 1 + sum(1 for total in costs if total <= 4 * bound)  # vertices a walk visits
-    base = bound + 2
-    pair = base * base  # vertex (x, y) is the digit (x + 1) * base + y + 1
-    place = [pair ** (slots - 1 - k) for k in range(slots)]
+    place = [1 << 8 * (slots - 1 - k) for k in range(slots)]
     # shift[m]: what moving the first m vertices one step in x adds to a key
-    shift = [base * sum(place[:m]) for m in range(slots + 1)]
+    shift = [16 * sum(place[:m]) for m in range(slots + 1)]
     keys: list[int] = []
 
     def walk(i, depth, key, minx, sx, sy, px, nx, py, ny):
         # the walk is at (sx, sy), its vertex number ``depth``, with x/y
         # extents px, nx, py, ny; its next edge has direction i or later
-        key += ((sx + 1) * base + sy + 1) * place[depth]
+        key += ((sx + 1) * 16 + sy + 1) * place[depth]
         if sx < minx:
             minx = sx
-        for j in range(i, n):
+        fit = fitting.get((px, nx, py, ny))
+        if fit is None:
+            fit = fitting[px, nx, py, ny] = _fitting_directions(dirs, bound, px, nx, py, ny)
+        for j in fit[bisect_left(fit, i) :]:
             # the suffix ranges shrink with j, so once the walk cannot get
             # back from direction j on, it cannot from any later one
             if sx > sufnx[j] or -sx > sufpx[j] or sy > sufny[j] or -sy > sufpy[j]:
@@ -174,15 +204,13 @@ def _edge_classes(bound: int) -> Iterator[tuple[Point, ...]]:
     del walk
     keys.sort()
 
-    points = {(x + 1) * base + y + 1: (x, y) for x in range(bound + 1) for y in range(bound + 1)}
+    vertex = [None] * 256
+    for x in range(bound + 1):
+        for y in range(bound + 1):
+            vertex[(x + 1) * 16 + y + 1] = (x, y)
+    decode = vertex.__getitem__
     for key in keys:
-        verts = []
-        while key:
-            key, digit = divmod(key, pair)
-            if digit:
-                verts.append(points[digit])
-        verts.reverse()
-        yield tuple(verts)
+        yield tuple(map(decode, key.to_bytes(slots, "big").rstrip(b"\0")))
 
 
 def iter_corpus(spec: CorpusSpec) -> Iterator[LatticePolygon]:
@@ -195,6 +223,7 @@ def iter_corpus(spec: CorpusSpec) -> Iterator[LatticePolygon]:
 
 
 def enumerate_corpus(spec: CorpusSpec) -> list[LatticePolygon]:
+    """The polygons of ``iter_corpus(spec)`` as a list, in the same order."""
     return list(iter_corpus(spec))
 
 

@@ -3,15 +3,18 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from severi_lattice.corpus import (
+    MAX_EXHAUSTIVE_COORD,
     CorpusSpec,
     _angular_directions,
     _edge_classes,
+    _fitting_directions,
     convex_hull,
     enumerate_corpus,
     iter_corpus,
@@ -120,6 +123,39 @@ class TestEnumeration:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("bound", range(1, MAX_EXHAUSTIVE_COORD + 1))
+    def test_fitting_directions_are_those_whose_unit_step_stays_in_the_box(self, bound):
+        dirs = _angular_directions(bound)
+        extents = range(bound + 1)
+        for px in extents:
+            for nx in extents:
+                for py in extents:
+                    for ny in extents:
+                        expected = [
+                            (dx, dy)
+                            for dx, dy in dirs
+                            if max(px + dx, nx - dx, py + dy, ny - dy) <= bound
+                        ]
+                        expected.sort(key=lambda d: math.atan2(d[1], d[0]) % (2 * math.pi))
+                        got = _fitting_directions(dirs, bound, px, nx, py, ny)
+                        assert [dirs[j] for j in got] == expected, (px, nx, py, ny)
+
+    def test_vertex_bytes_hold_the_exhaustive_bound(self):
+        # a key holds vertex (x, y) as the byte (x + 1) * 16 + y + 1, so
+        # x + 1 and y + 1 must each fit in four bits
+        assert MAX_EXHAUSTIVE_COORD + 1 < 16
+
+    def test_edge_classes_memory_peak(self):
+        # the keys and the direction index at max-coord 5 peak at 8.7 MiB
+        # (Python 3.11); a larger key or index fails here
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in _edge_classes(5)) == 177967
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 class TestTrustedPolygons:
