@@ -114,9 +114,12 @@ def _cmd_normal_form(args) -> int:
 
 def _cmd_corpus(args) -> int:
     spec = CorpusSpec(args.max_coord, args.limit)
-    # compact JSON lines, as _dump writes them, without building the lists
+    # compact JSON lines, as _dump writes them, without building the lists:
+    # each box point's text is made once and looked up per vertex
+    box = range(args.max_coord + 1)
+    text = {(x, y): f"[{x},{y}]" for x in box for y in box}.__getitem__
     docs = (
-        '{"vertices":[' + ",".join(f"[{x},{y}]" for x, y in poly.vertices) + "]}\n"
+        '{"vertices":[' + ",".join(map(text, poly.vertices)) + "]}\n"
         for poly in iter_corpus(spec)
     )
     if not args.out:

@@ -167,6 +167,11 @@ def _det_rows(m: list[list[int]], n: int) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _unit_rows(n: int) -> list[list[int]]:
+    """The n x n identity as fresh rows, for a certificate to start from."""
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
 def _smith_reduce(
     cols: list[list[int]],
     s: int,
@@ -308,8 +313,8 @@ def snf(x: IntMat) -> SnfResult:
     """
     s, l = x.rows, x.cols
     cols = x.to_cols()
-    q = [[1 if i == j else 0 for j in range(s)] for i in range(s)]
-    p = [[1 if i == j else 0 for j in range(l)] for i in range(l)]
+    q = _unit_rows(s)
+    p = _unit_rows(l)
     _smith_reduce(cols, s, l, q, p)
     return SnfResult(
         IntMat._trusted(s, s, tuple(chain.from_iterable(q))),
@@ -347,6 +352,11 @@ def _invariant_chain(rows: list[list[int]]) -> list[int]:
         rows = [list(c) for c in zip(*rows)]
     diag: list[int] = []
     while rows:
+        if len(rows) == 1:
+            g = gcd(*rows[0])
+            if g:
+                diag.append(g)
+            break
         best = bi = bj = 0
         for i, r in enumerate(rows):
             for j, v in enumerate(r):
@@ -360,9 +370,6 @@ def _invariant_chain(rows: list[list[int]]) -> list[int]:
             if best == 1:
                 break
         if best == 0:
-            break
-        if len(rows) == 1:
-            diag.append(gcd(*rows[0]))
             break
         prow = rows.pop(bi)
         p = prow[bj]
@@ -428,6 +435,8 @@ def minor_gcd(x: IntMat, k: int) -> int:
     """
     if not 1 <= k <= min(x.rows, x.cols):
         raise DomainError(f"minor size {k} out of range for {x.rows}x{x.cols}")
+    if k == 1:  # the 1 x 1 minors are the entries
+        return gcd(*x.entries)
     rows = x.to_rows()
     g = 0
     for rsel in combinations(range(x.rows), k):
@@ -440,16 +449,21 @@ def minor_gcd(x: IntMat, k: int) -> int:
     return g
 
 
+_NOT_HOMOGENEOUS = "matrix rows must sum to zero (X @ 1 == 0)"
+
+
 def _require_homogeneous(x: IntMat) -> None:
     if any(x.row_sums()):
-        raise DomainError("matrix rows must sum to zero (X @ 1 == 0)")
+        raise DomainError(_NOT_HOMOGENEOUS)
 
 
 def hsnf(x: IntMat) -> HsnfResult:
     """Homogeneous Smith normal form of ``x`` with certificates.
 
-    Requires zero row sums.  Computes the SNF ``Q @ X' == D @ P'`` of the
-    first-column erasure ``X'``, then assembles the block certificate
+    Requires zero row sums.  Runs the certified reduction of ``snf``
+    directly on the columns of the first-column erasure ``X'``, giving
+    ``Q @ X' == D @ P'`` with the same certificates ``snf(X')`` has, then
+    assembles the block certificate
 
         P = [[1, 0], [u, P']],   u = (I - P') @ 1,
 
@@ -462,16 +476,18 @@ def hsnf(x: IntMat) -> HsnfResult:
     if l == 1:
         # zero row sums force x == 0; it is its own (trivial) normal form
         return HsnfResult(IntMat.identity(s), x, IntMat.identity(1))
-    e = x.entries
-    erased = chain.from_iterable(e[i + 1 : i + l] for i in range(0, s * l, l))
-    inner = snf(IntMat._trusted(s, l - 1, tuple(erased)))
+    m = l - 1
+    cols = x.to_cols()[1:]
+    q = _unit_rows(s)
+    p = _unit_rows(m)
+    _smith_reduce(cols, s, m, q, p)
     # each row of P' and D, led by the entry that makes its row sum 1 or 0
-    p_flat = [1] + [0] * (l - 1)
-    for r in inner.P.to_rows():
+    p_flat = [1] + [0] * m
+    for r in p:
         p_flat += [1 - sum(r), *r]
-    a_flat = [v for r in inner.D.to_rows() for v in (-sum(r), *r)]
+    a_flat = [v for r in zip(*cols) for v in (-sum(r), *r)]
     return HsnfResult(
-        inner.Q,
+        IntMat._trusted(s, s, tuple(chain.from_iterable(q))),
         IntMat._trusted(s, l, tuple(a_flat)),
         IntMat._trusted(l, l, tuple(p_flat)),
     )
@@ -488,7 +504,7 @@ def hsnf_left(x: IntMat) -> IntMat:
     """
     _require_homogeneous(x)
     s, l = x.rows, x.cols
-    q = [[1 if i == j else 0 for j in range(s)] for i in range(s)]
+    q = _unit_rows(s)
     if l > 1:
         _smith_reduce(x.to_cols()[1:], s, l - 1, q, [[] for _ in range(l - 1)])
     return IntMat._trusted(s, s, tuple(chain.from_iterable(q)))
@@ -502,12 +518,17 @@ def hsnf_form(x: IntMat) -> IntMat:
     ``invariant_factors``, which shares no code with ``hsnf``; the result
     agrees with ``hsnf(x).A``.
     """
-    _require_homogeneous(x)
     s, l = x.rows, x.cols
+    e = x.entries
+    # the zero row sums are checked in the pass that slices the erasure
+    erased = []
+    for i in range(0, s * l, l):
+        if sum(e[i : i + l]):
+            raise DomainError(_NOT_HOMOGENEOUS)
+        erased.append(list(e[i + 1 : i + l]))
     if l == 1:
         return x
-    e = x.entries
-    diag = _invariant_chain([list(e[i + 1 : i + l]) for i in range(0, s * l, l)])
+    diag = _invariant_chain(erased)
     flat = [0] * (s * l)
     for i, v in enumerate(diag):
         flat[i * l] = -v

@@ -67,6 +67,20 @@ def random_homogeneous_matrix(
     return IntMat.from_rows(rows)
 
 
+def corner_matrix_rows() -> list[list[int]]:
+    """The seeded 16 x 16 matrix at the corner of the snf/hsnf input box, as
+    ``test_cli``'s corner test builds it: entries of either sign up to 1000,
+    paired so that every row sums to zero."""
+    rng = random.Random(0)
+    out = []
+    for _ in range(16):
+        half = [rng.randint(-1000, 1000) for _ in range(8)]
+        row = half + [-v for v in half]
+        rng.shuffle(row)
+        out.append(row)
+    return out
+
+
 def frame(lattice, point):
     """Coordinates of ``point - basepoint`` in the basis (d1, 0), (e, d2) of
     ``lattice``, by Cramer's rule with the adjugate ((d2, -e), (0, d1)) over

@@ -8,6 +8,10 @@ nothing grows with the area (up to 2 * 10^8).  The budget leaves room
 for hosts that run two or more times slower than a quiet one, where each
 polygon takes under 0.1 s.  Validating an input with 2 * 10^4 points on
 one edge is a single pass over the points, with a budget of 0.5 s.
+
+``snf``, ``hsnf`` and ``hsnf_left`` on the seeded 16 x 16, |entry| <= 1000
+matrix at the corner of the normal-form input box each take about 0.01 s
+on a quiet host; each gets a budget of 0.5 s.
 """
 
 import time
@@ -15,10 +19,14 @@ from math import gcd
 
 import pytest
 
+from severi_lattice.intmat import IntMat, hsnf, hsnf_left, snf
 from severi_lattice.polygons import COORD_BOUND, InteriorClassification, LatticePolygon
 from severi_lattice.severi import analyze
 
+from helpers import corner_matrix_rows
+
 BUDGET_S = 10.0
+NORMAL_FORM_BUDGET_S = 0.5
 R = COORD_BOUND
 
 
@@ -93,3 +101,14 @@ def test_collinear_input_collapses_in_one_pass():
     elapsed = time.perf_counter() - started
     assert elapsed < 0.5, f"validation took {elapsed:.2f}s, budget 0.5s"
     assert poly.vertices == tuple(corners)
+
+
+@pytest.mark.parametrize("kernel", [snf, hsnf, hsnf_left], ids=lambda f: f.__name__)
+def test_normal_forms_at_the_corner_of_the_box(kernel):
+    x = IntMat.from_rows(corner_matrix_rows())
+    started = time.perf_counter()
+    kernel(x)
+    elapsed = time.perf_counter() - started
+    assert elapsed < NORMAL_FORM_BUDGET_S, (
+        f"{kernel.__name__} took {elapsed:.3f}s, budget {NORMAL_FORM_BUDGET_S}s"
+    )

@@ -16,6 +16,8 @@ from severi_lattice.cli import main
 from severi_lattice.corpus import CorpusSpec, iter_corpus, random_polygon
 from severi_lattice.severi import analyze
 
+from helpers import corner_matrix_rows
+
 # severi analyze, as a library call, over corpus max-coord 3 and 20 random polygons
 CORPUS3_SHA256 = "37e823b26e1d1d2f98abdc05d0199022b3427a1c2bba7a0c0453c1069f2d15ec"
 RANDOM20_SHA256 = "f7f7ee4a28c1b80b83aadbedcabe41d08b330d45d75ad793d6b239b624a09fa4"
@@ -25,6 +27,10 @@ CLI_COUNT_SHA256 = "0870edcd8f27b20160abf10c844f51ca45c4e5cc86a943d6eee9e5fbff71
 CLI_COMPONENTS_SHA256 = "ca46b23c41a02640cfceee3bec7ceb4b6bfbe5a20eafa9ea4f48168cda70383f"
 CLI_SNF_SHA256 = "9e908fabdeab0787650d44071f22edb6b16b853e47f195930d5028f705e8a0c6"
 CLI_HSNF_SHA256 = "22f27fc45a9bc9c8c07ec23d9a913705705c49b86705cfb5b38fe6e1bda4e191"
+# stdout of severi snf / hsnf on the seeded 16 x 16 matrix at the corner of
+# the input box
+CLI_SNF_CORNER_SHA256 = "a2e334ddd16376701b90a679806eb9f890d77846d326a00dda7ca4191c81828c"
+CLI_HSNF_CORNER_SHA256 = "04f103679cc2bff160fdec919230a96fd965322637c135ca1b107a7ca871b5e0"
 # stdout of severi verify --max-coord 3 --trials 10 --seed 0
 CLI_VERIFY_SHA256 = "4356def34613b4c021a59db5657c137860794334a1bffb04534d50bf0b2eb933"
 # stdout of severi corpus --max-coord 4
@@ -119,6 +125,18 @@ def test_cli_corpus3_digest(command, expected, corpus3_files, capsys):
 )
 def test_cli_normal_form_digest(command, balanced, expected, tmp_path, capsys):
     paths = _write_docs(tmp_path, _seeded_matrices(balanced))
+    assert _cli_digest(command, paths, capsys) == expected
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [("snf", CLI_SNF_CORNER_SHA256), ("hsnf", CLI_HSNF_CORNER_SHA256)],
+    ids=["snf", "hsnf"],
+)
+def test_cli_normal_form_corner_digest(command, expected, tmp_path, capsys):
+    rows = corner_matrix_rows()
+    doc = {"rows": len(rows), "cols": len(rows[0]), "entries": rows}
+    paths = _write_docs(tmp_path, [doc])
     assert _cli_digest(command, paths, capsys) == expected
 
 

@@ -16,7 +16,12 @@ from severi_lattice.intmat import (
 )
 from severi_lattice.verify import perturb_homogeneous, random_unimodular
 
-from helpers import random_gl_h, random_homogeneous_matrix, smith_form
+from helpers import (
+    corner_matrix_rows,
+    random_gl_h,
+    random_homogeneous_matrix,
+    smith_form,
+)
 
 
 @st.composite
@@ -213,6 +218,12 @@ class TestMinorGcd:
     def test_all_minors_vanish(self):
         assert minor_gcd(IntMat(2, 2, (0,) * 4), 1) == 0
 
+    def test_one_by_one_minors_are_the_entries(self):
+        assert minor_gcd(IntMat(1, 3, (0, 0, 0)), 1) == 0
+        assert minor_gcd(IntMat.from_rows([[-6, 0], [0, -9]]), 1) == 3
+        assert minor_gcd(IntMat.from_rows([[0, -4, 0]]), 1) == 4
+        assert minor_gcd(IntMat.from_rows([[-7]]), 1) == 7
+
 
 class TestHsnfExamples:
     def test_one_row(self):
@@ -355,6 +366,17 @@ class TestHsnfProperties:
         for _ in range(3000):
             x = random_homogeneous_matrix(rng)
             assert hsnf_left(x) == hsnf(x).Q
+
+
+    def test_certificates_at_the_corner_of_the_box(self):
+        # 16 x 16, |entry| <= 1000: certificate entries reach hundreds of digits
+        x = IntMat.from_rows(corner_matrix_rows())
+        res = hsnf(x)
+        assert hsnf_left(x) == res.Q
+        assert res.Q @ x == res.A @ res.P
+        ones = IntMat(x.cols, 1, (1,) * x.cols)
+        assert res.P @ ones == ones
+        assert res.A == hsnf_form(x)
 
 
 def test_random_homogeneous_matrix_has_zero_row_sums():
