@@ -77,8 +77,14 @@ def width_one_by_rank(profile: BoundaryProfile) -> tuple[int, int] | None:
     Only pairs that hold p or q are tried, in the order of the full search
     over i1 < i2, so the first pair found is the same.  A pair holding
     neither has tp = tq = 0, hence m = (0, 0), and the check at column i1
-    asks 0 == det * 1, which fails as det != 0.  That leaves O(l) pairs,
-    (0, i2), (i1, q) and (q, i2), each checked in O(l): O(l^2) in all.
+    asks 0 == det * 1, which fails as det != 0.  Of these, only pairs whose
+    two columns each occur once are checked; facet normals are distinct,
+    so these are exactly the points of length-one facets.  Any other pair
+    fails at the repeated column's copy: m.c there is the value it has at
+    the pair's own point, +-det != 0 if that point passed, while the test
+    row asks for 0 there, or for the opposite sign when the copy is the
+    pair's other point.  That leaves at most three pairs per length-one
+    facet, each checked in O(l): O(facets * l) in all.
     """
     cols = [f.normal for f in profile.facets for _ in range(f.length)]
     l = len(cols)
@@ -88,13 +94,20 @@ def width_one_by_rank(profile: BoundaryProfile) -> tuple[int, int] | None:
     )
     cp, cq = cols[p], cols[q]
     det = cp[0] * cq[1] - cp[1] * cq[0]
+    ones = []  # the points of length-one facets, ascending
+    start = 0
+    for f in profile.facets:
+        if f.length == 1:
+            ones.append(start)
+        start += f.length
+    single = set(ones)
     for i1, i2 in chain(
-        ((p, i2) for i2 in range(1, l)),
-        ((i1, q) for i1 in range(1, q)),
-        ((q, i2) for i2 in range(q + 1, l)),
+        ((p, i2) for i2 in ones if i2 > p),
+        ((i1, q) for i1 in ones if p < i1 < q),
+        ((q, i2) for i2 in ones if i2 > q),
     ):
-        if cols[i2] == cols[i1]:
-            continue  # equal columns force rank three
+        if i1 not in single or i2 not in single:
+            continue  # the pivot's column repeats
         tp = (1 if p == i1 else 0) - (1 if p == i2 else 0)
         tq = (1 if q == i1 else 0) - (1 if q == i2 else 0)
         mx = cq[1] * tp - cp[1] * tq

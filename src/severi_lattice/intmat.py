@@ -432,18 +432,29 @@ def minor_gcd(x: IntMat, k: int) -> int:
 
     Independent oracle for the invariant factors: for k <= rank,
     ``a_1 * ... * a_k == minor_gcd(x, k)``.
+
+    Each set of k distinct rows meets each set of k distinct columns once,
+    so the cost is binomial in the numbers of distinct rows and columns,
+    not in the shape; 0 when k exceeds either number.  This is exact: a
+    minor with a repeated row or column is 0, and minors on the same
+    distinct rows and columns differ by a permutation of rows and columns,
+    so they agree up to sign.  A 2 x 2 minor is read as ad - bc, as the
+    1 x 1 minors are read as the entries; larger ones by Bareiss.
     """
     if not 1 <= k <= min(x.rows, x.cols):
         raise DomainError(f"minor size {k} out of range for {x.rows}x{x.cols}")
     if k == 1:  # the 1 x 1 minors are the entries
         return gcd(*x.entries)
-    rows = x.to_rows()
+    rows = dict.fromkeys(map(tuple, x.to_rows()))
     g = 0
-    for rsel in combinations(range(x.rows), k):
-        picked = [rows[i] for i in rsel]
-        for csel in combinations(range(x.cols), k):
-            sub = [[r[c] for c in csel] for r in picked]
-            g = gcd(g, _det_rows(sub, k))
+    for rsel in combinations(rows, k):
+        # the distinct columns of these rows, each a k-tuple
+        for csel in combinations(dict.fromkeys(zip(*rsel)), k):
+            if k == 2:
+                (a, c), (b, d) = csel
+                g = gcd(g, a * d - b * c)
+            else:
+                g = gcd(g, _det_rows([list(col) for col in csel], k))
             if g == 1:
                 return 1
     return g

@@ -2,18 +2,20 @@
 machinery, the Smith form built from the invariant factors, a lattice
 frame map written apart from the library's, the certificate rows as
 they were first written (the signature from the full ``hsnf``, the rank
-test over every pair) and the width reduction as it was first written
+test over every pair), the minor gcd over every row and column
+selection, and the width reduction as it was first written
 (a search over the whole interval each step, a scan of twelve candidates
 in the tie-break), the intermediate lattices with both ends reduced, and
 polygon validation in three passes."""
 
 import random
 from collections.abc import Sequence
+from itertools import combinations
 from math import gcd
 
 from severi_lattice.certificates import a_delta
 from severi_lattice.errors import DomainError, InvariantViolation
-from severi_lattice.intmat import IntMat, hsnf, invariant_factors
+from severi_lattice.intmat import IntMat, _det_rows, hsnf, invariant_factors
 from severi_lattice.lattices import _canonical, _canonical_basis, divisors
 from severi_lattice.polygons import COORD_BOUND, LatticePolygon, _angle_less
 
@@ -151,6 +153,26 @@ def reference_width_one_pair(profile):
             ):
                 return (i1, i2)
     return None
+
+
+def reference_minor_gcd(x: IntMat, k: int) -> int:
+    """``intmat.minor_gcd`` as it scanned before it skipped repeated rows and
+    columns: a Bareiss determinant for every k-subset of row indices against
+    every k-subset of column indices."""
+    if not 1 <= k <= min(x.rows, x.cols):
+        raise DomainError(f"minor size {k} out of range for {x.rows}x{x.cols}")
+    if k == 1:  # the 1 x 1 minors are the entries
+        return gcd(*x.entries)
+    rows = x.to_rows()
+    g = 0
+    for rsel in combinations(range(x.rows), k):
+        picked = [rows[i] for i in rsel]
+        for csel in combinations(range(x.cols), k):
+            sub = [[r[c] for c in csel] for r in picked]
+            g = gcd(g, _det_rows(sub, k))
+            if g == 1:
+                return 1
+    return g
 
 
 def reference_width_of_vertices(verts: Sequence[Point]) -> tuple[int, Point]:

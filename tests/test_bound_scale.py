@@ -12,6 +12,15 @@ one edge is a single pass over the points, with a budget of 0.5 s.
 ``snf``, ``hsnf`` and ``hsnf_left`` on the seeded 16 x 16, |entry| <= 1000
 matrix at the corner of the normal-form input box each take about 0.01 s
 on a quiet host; each gets a budget of 0.5 s.
+
+The verify battery's checks on the 2 x l normal matrix ``a_delta`` run on
+the 45-degree square ``(0,0),(5000,5000),(0,10000),(-5000,5000)``: l = 2 *
+10^4 points on four facets of length 5000, idx 2.  ``minor_gcd(a, 2)``
+(only four distinct columns), ``invariant_factors`` and
+``width_one_by_rank`` (no length-one facet) each take about 0.01 s or
+less on a quiet host, ``component_signature`` 0.05-0.1 s; each gets a
+budget of 0.5 s.  A 2 x 2 minor scan over all point pairs took 20 s at
+l = 4000, and a rank test over all pairs at a pivot point 5-8 s here.
 """
 
 import time
@@ -19,14 +28,23 @@ from math import gcd
 
 import pytest
 
-from severi_lattice.intmat import IntMat, hsnf, hsnf_left, snf
+from severi_lattice.certificates import a_delta, component_signature, width_one_by_rank
+from severi_lattice.intmat import (
+    IntMat,
+    hsnf,
+    hsnf_left,
+    invariant_factors,
+    minor_gcd,
+    snf,
+)
 from severi_lattice.polygons import COORD_BOUND, InteriorClassification, LatticePolygon
-from severi_lattice.severi import analyze
+from severi_lattice.severi import analyze, build_profile
 
 from helpers import corner_matrix_rows
 
 BUDGET_S = 10.0
 NORMAL_FORM_BUDGET_S = 0.5
+NORMAL_MATRIX_BUDGET_S = 0.5
 R = COORD_BOUND
 
 
@@ -111,4 +129,37 @@ def test_normal_forms_at_the_corner_of_the_box(kernel):
     elapsed = time.perf_counter() - started
     assert elapsed < NORMAL_FORM_BUDGET_S, (
         f"{kernel.__name__} took {elapsed:.3f}s, budget {NORMAL_FORM_BUDGET_S}s"
+    )
+
+
+@pytest.fixture(scope="module")
+def turned_square():
+    square = [(0, 0), (5000, 5000), (0, 10000), (-5000, 5000)]
+    profile = build_profile(LatticePolygon(square))
+    assert (profile.l, profile.idx) == (20_000, 2)
+    return profile, a_delta(profile)
+
+
+@pytest.mark.parametrize(
+    "check, expected",
+    [
+        (lambda profile, a: minor_gcd(a, 2), 2),
+        (lambda profile, a: invariant_factors(a), (1, 2)),
+        # as the search over every pair at a pivot point found it
+        (lambda profile, a: width_one_by_rank(profile), None),
+        # constant on the facets of normals (-1,1), (-1,-1), (1,-1), (1,1)
+        (
+            lambda profile, a: component_signature(profile),
+            (0,) * 5000 + (1,) * 5000 + (0,) * 5000 + (-1,) * 5000,
+        ),
+    ],
+    ids=["minor_gcd", "invariant_factors", "width_one_by_rank", "component_signature"],
+)
+def test_normal_matrix_checks_on_the_turned_square(turned_square, check, expected):
+    started = time.perf_counter()
+    result = check(*turned_square)
+    elapsed = time.perf_counter() - started
+    assert result == expected
+    assert elapsed < NORMAL_MATRIX_BUDGET_S, (
+        f"took {elapsed:.3f}s, budget {NORMAL_MATRIX_BUDGET_S}s"
     )

@@ -26,6 +26,8 @@ from severi_lattice.errors import DomainError
 from severi_lattice.lattices import AffineLattice2
 from severi_lattice.verify import _MAX_TRIALS
 
+from helpers import corner_matrix_rows
+
 
 def write_json(path, data):
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -378,16 +380,7 @@ class TestHugeResult:
     @pytest.mark.parametrize("command", ["snf", "hsnf"])
     def test_the_corner_of_the_box_is_accepted(self, tmp_path, capsys, command):
         # entries of either sign up to the bound, paired so rows sum to zero
-        rng = random.Random(0)
-        rows = []
-        for _ in range(MATRIX_MAX_ROWS):
-            half = [
-                rng.randint(-MATRIX_MAX_ENTRY, MATRIX_MAX_ENTRY)
-                for _ in range(MATRIX_MAX_COLS // 2)
-            ]
-            row = half + [-v for v in half]
-            rng.shuffle(row)
-            rows.append(row)
+        rows = corner_matrix_rows()
         doc = {"rows": len(rows), "cols": len(rows[0]), "entries": rows}
         assert main([command, write_json(tmp_path / "corner.json", doc)]) == 0
         out = capsys.readouterr()

@@ -20,6 +20,7 @@ from helpers import (
     corner_matrix_rows,
     random_gl_h,
     random_homogeneous_matrix,
+    reference_minor_gcd,
     smith_form,
 )
 
@@ -53,6 +54,27 @@ def kernel_rows(draw, max_rows=7, max_cols=9, bound=10**6):
         ka, kb = draw(st.sampled_from((-1, 1))), draw(st.sampled_from((-1, 0, 1)))
         rows[i] = [ka * x + kb * y for x, y in zip(rows[a], rows[b])]
     return rows
+
+
+@st.composite
+def planted_rows(draw, max_base=3, max_copies=2, bound=9):
+    """Rows of a matrix grown from a few base rows and columns by planted
+    exact copies of columns and of rows and a planted zero column and zero
+    row, each in a shuffled position, all scaled by 1, 2 or 6 (so the gcd
+    often stays above one and no scan stops early).  The distinct rows or
+    columns are often fewer than min(rows, cols)."""
+    r0 = draw(st.integers(1, max_base))
+    c0 = draw(st.integers(1, max_base + 1))
+    scale = draw(st.sampled_from((1, 2, 6)))
+    entry = st.integers(-bound, bound).map(lambda v: scale * v)
+    base = [draw(st.lists(entry, min_size=c0, max_size=c0)) for _ in range(r0)]
+    cols = [list(col) for col in zip(*base)]
+    cols += [cols[j] for j in draw(st.lists(st.integers(0, c0 - 1), max_size=max_copies))]
+    cols += [[0] * r0] * draw(st.integers(0, 1))
+    rows = [list(row) for row in zip(*draw(st.permutations(cols)))]
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, r0 - 1), max_size=max_copies))]
+    rows += [[0] * len(cols)] * draw(st.integers(0, 1))
+    return [list(row) for row in draw(st.permutations(rows))]
 
 
 def assert_minor_gcd_products(x, factors):
@@ -217,6 +239,22 @@ class TestMinorGcd:
 
     def test_all_minors_vanish(self):
         assert minor_gcd(IntMat(2, 2, (0,) * 4), 1) == 0
+
+    def test_repeated_rows_and_columns(self):
+        # two distinct rows, three distinct columns: no 3 x 3 minor survives
+        x = IntMat.from_rows([[2, 4, 2, 0], [6, 8, 6, 0], [2, 4, 2, 0]])
+        assert [minor_gcd(x, k) for k in (1, 2, 3)] == [2, 8, 0]
+        # the normal matrix of the diamond |x| + |y| <= 2, two points per
+        # facet: its 2 x 2 minors are 0 and +-2
+        x = IntMat.from_rows([[1, 1, -1, -1, -1, -1, 1, 1], [1, 1, 1, 1, -1, -1, -1, -1]])
+        assert minor_gcd(x, 2) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(planted_rows())
+    def test_matches_the_scan_over_every_selection(self, rows):
+        x = IntMat.from_rows(rows)
+        for k in range(1, min(x.rows, x.cols) + 1):
+            assert minor_gcd(x, k) == reference_minor_gcd(x, k), k
 
     def test_one_by_one_minors_are_the_entries(self):
         assert minor_gcd(IntMat(1, 3, (0, 0, 0)), 1) == 0

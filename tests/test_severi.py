@@ -97,8 +97,9 @@ class TestComponentSignature:
 
 class TestCertificateRowsMatchTheirReferences:
     """The signature read from ``Q`` alone equals the one read from the full
-    ``hsnf``, exact z, and the rank test over the pairs that hold a pivot
-    column finds the same first pair as the search over every pair."""
+    ``hsnf``, exact z, and the rank test over the pairs of length-one facet
+    points that hold a pivot column finds the same first pair as the search
+    over every pair."""
 
     def test_signature_on_corpus3(self):
         for poly in iter_corpus(CorpusSpec(max_coordinate=3)):
@@ -110,6 +111,24 @@ class TestCertificateRowsMatchTheirReferences:
             profile = build_profile(poly)
             pair = width_one_by_rank(profile)
             assert pair == reference_width_one_pair(profile), poly
+
+    def test_width_one_pair_on_trapezoids(self):
+        # (0,0),(a,0),(b,1),(c,1) and its quarter turns: width one, with
+        # bottom and top edges of any length, so that pairs whose pivot
+        # column repeats are skipped beside the pairs that are found
+        skipped_pivot = 0
+        for a in range(1, 6):
+            for b in range(-5, 6):
+                for c in range(-5, b + 1):
+                    verts = [(0, 0), (a, 0), (b, 1), (c, 1)][: 3 if b == c else 4]
+                    for _ in range(4):
+                        verts = [(-y, x) for x, y in verts]
+                        profile = build_profile(LatticePolygon(verts))
+                        pair = width_one_by_rank(profile)
+                        assert pair is not None, verts
+                        assert pair == reference_width_one_pair(profile), verts
+                        skipped_pivot += profile.facets[0].length > 1
+        assert skipped_pivot
 
     @settings(max_examples=200, deadline=None)
     @given(polygons(bound=30))
