@@ -11,7 +11,10 @@ per lattice) and the lattice width (Gauss reduction with seeded,
 bracketed steps, a few width-norm evaluations of O(vertices) each on
 small polygons and O(log width) per step at the coordinate bound) are
 the production path, both read in a lattice's basis
-(``lattices._in_basis``) and cached on the polygon.
+(``lattices._in_basis``) and cached on the polygon.  The ``Z2`` object,
+which every index-one lattice of the library is, is read in the identity
+frame: no membership test, the facets' own lengths in Pick's boundary
+term and the raw vertex differences in the width reduction.
 The point scans ``interior_points`` and ``interior_points_in`` (O(area)) are
 oracles for tests and the verify battery, kept as methods so their results
 cache on the polygon; the width oracle ``brute_force_width`` is in ``oracles``.
@@ -25,7 +28,7 @@ from math import gcd
 
 from ._record import Record
 from .errors import DomainError, InvariantViolation
-from .lattices import AffineLattice2, _in_basis
+from .lattices import Z2, AffineLattice2, _in_basis
 
 __all__ = [
     "COORD_BOUND",
@@ -215,12 +218,17 @@ class LatticePolygon:
     # -- lattice-relative operations --------------------------------------
 
     def _require_vertices_in(self, lattice: AffineLattice2) -> None:
+        if lattice is Z2:
+            return
         for v in self._vertices:
             if not lattice._has(v):
                 raise DomainError(f"vertex {v} is not in the lattice {lattice}")
 
     def _lengths_in(self, lattice: AffineLattice2) -> list[int]:
-        """Facet lengths in ``lattice``: gcds of their coordinates in its basis."""
+        """Facet lengths in ``lattice``: gcds of their coordinates in its basis,
+        which for ``Z2`` is the identity frame."""
+        if lattice is Z2:
+            return [f.length for f in self.facets()]
         return [gcd(*_in_basis(lattice, f.vector)) for f in self.facets()]
 
     def verify_pick(self, lattice: AffineLattice2) -> bool:
@@ -255,8 +263,9 @@ class LatticePolygon:
         key = ("width", lattice)
         if key not in self._cache:
             x0, y0 = self._vertices[0]
+            diffs = [(x - x0, y - y0) for x, y in self._vertices]
             self._cache[key] = _width_of_vertices(
-                [_in_basis(lattice, (x - x0, y - y0)) for x, y in self._vertices]
+                diffs if lattice is Z2 else [_in_basis(lattice, d) for d in diffs]
             )
         return self._cache[key]
 

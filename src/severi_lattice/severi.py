@@ -189,11 +189,12 @@ class SeveriReport(Record):
 
     def to_json_dict(self) -> dict:
         profile = self.profile
+        boundary = profile.l
         return {
             "polygon": {"vertices": [list(v) for v in profile.polygon.vertices]},
-            "l": profile.l,
+            "l": boundary,
             # l + g - 1 at genus g = 1
-            "severi_dimension": profile.l,
+            "severi_dimension": boundary,
             "facets": [f.to_json_dict() for f in profile.facets],
             "idx": profile.idx,
             "divisors": [c.d for c in self.components],

@@ -1,10 +1,13 @@
 """``analyze`` at the documented coordinate bound |c| <= 10^4.
 
 Each polygon must finish within BUDGET_S seconds.  The only work left
-that grows with the number l of boundary points (here up to 6 * 10^4) is
-the oracle's span of all of them; the profile is O(facets), interior
-counts come from Pick's theorem and the width from Gauss reduction, so
-nothing grows with the area (up to 2 * 10^8).  The budget leaves room
+that grows with the number l of boundary points is the oracle's span of
+all of them.  l is at most 8 * 10^4, reached by the square [-R, R]^2: a
+facet of vector (vx, vy) holds at most |vx| + |vy| of them, and the
+facets of a convex polygon sum to twice its x- and y-extents, so l <= 2 *
+(x-extent + y-extent).  The profile is O(facets), interior counts come
+from Pick's theorem and the width from Gauss reduction, so nothing grows
+with the area (up to 4 * 10^8).  The budget leaves room
 for hosts that run two or more times slower than a quiet one, where each
 polygon takes under 0.1 s.  Validating an input with 2 * 10^4 points on
 one edge is a single pass over the points, with a budget of 0.5 s.
@@ -76,6 +79,17 @@ def test_triangle():
         (1, 2 * R * R - 3 * R + 1)
     ]
     assert report.width_m0 == 2 * R
+    assert report.component_count == 1
+
+
+def test_square_has_the_longest_boundary():
+    report = _timed_analyze([(-R, -R), (R, -R), (R, R), (-R, R)])
+    assert (report.profile.l, report.profile.idx) == (8 * R, 1)
+    assert [(c.d, c.interior_count) for c in report.components] == [
+        (1, (2 * R - 1) ** 2)
+    ]
+    assert (2 * R - 1) ** 2 == 399_960_001
+    assert (report.width_m0, report.width_m0_direction) == (2 * R, (0, 1))
     assert report.component_count == 1
 
 

@@ -18,7 +18,7 @@ from severi_lattice.lattices import (
     rotate90,
 )
 from severi_lattice.polygons import LatticePolygon
-from severi_lattice.severi import build_profile
+from severi_lattice.severi import analyze, build_profile
 
 from helpers import reference_intermediate_lattices
 
@@ -301,6 +301,44 @@ class TestClosedFormEnds:
         lat = even_lattice()
         assert lat.linear_part() is lat
         assert odd_lattice().linear_part() == lat
+
+
+class TestInterning:
+    """At index one the trusted constructor returns the ``Z2`` object itself,
+    which ``polygons`` reads in the identity frame; the validating
+    constructor still builds an equal lattice of its own."""
+
+    def test_index_one_profile_and_components(self, triangle_d3, unit_square):
+        for poly in (triangle_d3, unit_square):
+            profile = build_profile(poly)
+            assert profile.idx == 1
+            assert profile.m0 is Z2 and profile.n0 is Z2
+            for c in analyze(poly).components:
+                assert c.N is Z2 and c.M is Z2
+
+    def test_trusted_forms(self):
+        assert rotate90(Z2) is Z2
+        assert Z2._through((7, -3)) is Z2
+        assert affine_span([(0, 0), (1, 0), (0, 1)]) is Z2
+        assert AffineLattice2.linear_from_generators([(2, 1), (1, 1)]) is Z2
+
+    def test_last_intermediate_lattice(self, diamond2):
+        n0 = build_profile(diamond2).n0
+        assert n0.index_in_z2 == 2
+        assert intermediate_lattices(n0)[-1] is Z2
+        l6 = AffineLattice2.linear_from_generators([(1, 0), (0, 6)])
+        assert intermediate_lattices(l6)[-1] is Z2
+
+    def test_validating_constructor_builds_an_equal_copy(self):
+        copy = AffineLattice2((0, 0), ((1, 0), (0, 1)))
+        assert copy == Z2 and hash(copy) == hash(Z2)
+        assert copy is not Z2
+
+    def test_corpus3_m0_is_z2_exactly_at_index_one(self):
+        for poly in iter_corpus(CorpusSpec(max_coordinate=3)):
+            profile = build_profile(poly)
+            assert (profile.m0 is Z2) == (profile.idx == 1)
+            assert (profile.n0 is Z2) == (profile.idx == 1)
 
 
 def reference_rotate90(lat):

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import severi_lattice.polygons
 from severi_lattice.corpus import CorpusSpec, iter_corpus, random_polygon
 from severi_lattice.errors import DomainError
 from severi_lattice.lattices import AffineLattice2, Z2, affine_span
@@ -366,6 +368,56 @@ class TestClassification:
                 poly.classify_interior_empty(lattice)
                 is InteriorClassification.TWICE_PRIMITIVE_TRIANGLE
             )
+
+
+R = COORD_BOUND
+# the polygons of tests/test_bound_scale.py, the needle at the bound and the
+# 504-divisor triangle
+BOUND_SCALE = [
+    [(R, 0), (0, R), (-R, 0), (0, -R)],
+    [(-R, -R), (R, -R), (-R, R)],
+    [(-R, -R), (R, -R), (R, R), (-R, R)],
+    [(-R, 0), (R, 0), (R, 1), (-R, 1)],
+    [(0, -R), (1, -R), (1, R)],
+    [(0, 0), (5000, 5000), (0, 10000), (-5000, 5000)],
+    [(0, 0), (10, 10**4), (11, 10**4), (1, 0)],
+    [(9619, 6855), (-5695, 545), (-3738, -1400)],
+]
+
+
+class TestIdentityFrame:
+    """``Z2`` is read in the identity frame; an equal lattice built by the
+    validating constructor goes through ``lattices._in_basis``.  Both must
+    measure the same, each on a fresh polygon so that no cached value
+    answers for the other."""
+
+    def test_z2_and_an_equal_copy_agree(self, monkeypatch):
+        copy = AffineLattice2((0, 0), ((1, 0), (0, 1)))
+        assert copy == Z2 and copy is not Z2
+        calls = Counter()
+        in_basis = severi_lattice.polygons._in_basis
+
+        def counting_in_basis(lattice, vector):
+            calls[lattice is Z2] += 1
+            return in_basis(lattice, vector)
+
+        monkeypatch.setattr(severi_lattice.polygons, "_in_basis", counting_in_basis)
+        corpus3 = [p.vertices for p in iter_corpus(CorpusSpec(max_coordinate=3))]
+        for vertices in corpus3 + BOUND_SCALE:
+            seen = []
+            for lattice in (Z2, copy):
+                poly = LatticePolygon(vertices)
+                seen.append(
+                    (
+                        poly.interior_count_in(lattice),
+                        poly.lattice_width(lattice),
+                        poly.classify_interior_empty(lattice),
+                    )
+                )
+            assert seen[0] == seen[1], vertices
+        # Z2 never changes basis; the copy does for every polygon
+        assert calls[True] == 0
+        assert calls[False] >= len(corpus3) + len(BOUND_SCALE)
 
 
 class TestNormalization:

@@ -432,6 +432,25 @@ class TestSinglePass:
             assert analyze(LatticePolygon(poly.vertices)).profile.idx == 1
             assert calls == {"reduce": 3}
 
+    def test_no_change_of_basis_at_index_one(
+        self, monkeypatch, unit_square, triangle_d3, diamond2
+    ):
+        # index one measures only in Z2, read in the identity frame; the
+        # diamond's M0 has index 2 and is read in its own basis
+        calls = Counter()
+        in_basis = severi_lattice.polygons._in_basis
+
+        def counting_in_basis(lattice, vector):
+            calls["in_basis"] += 1
+            return in_basis(lattice, vector)
+
+        monkeypatch.setattr(severi_lattice.polygons, "_in_basis", counting_in_basis)
+        for poly in (unit_square, triangle_d3):
+            analyze(LatticePolygon(poly.vertices))
+            assert calls["in_basis"] == 0
+        assert analyze(LatticePolygon(diamond2.vertices)).profile.idx == 2
+        assert calls["in_basis"] > 0
+
     def test_descriptors_follow_the_divisors(self):
         for poly in iter_corpus(CorpusSpec(max_coordinate=3)):
             report = analyze(poly)
