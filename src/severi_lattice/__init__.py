@@ -22,11 +22,11 @@ Layers, bottom to top:
   and the command-line front end.
 
 The top level re-exports only the quick-tour names; import everything
-else from its module.
+else from its module.  ``IntMat`` and ``snf`` import ``intmat`` when first
+read: the package and the CLI's analyze commands do not load it.
 """
 
 from .errors import DomainError, InvariantViolation, SeveriLatticeError
-from .intmat import IntMat, snf
 from .polygons import LatticePolygon
 from .severi import analyze, build_profile, count_components
 
@@ -43,3 +43,10 @@ __all__ = [
     "count_components",
     "snf",
 ]
+
+
+def __getattr__(name: str):  # PEP 562: IntMat and snf import intmat when read
+    if name not in ("IntMat", "snf"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import intmat
+    return getattr(intmat, name)

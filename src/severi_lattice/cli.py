@@ -5,6 +5,10 @@ Diagnostics go to stderr only, so stdout is always machine-readable, and
 identical inputs produce byte-identical output.  ``entry`` (the ``severi``
 command) also exits 1 with one ``error:`` line when stdout is closed or its
 reader leaves early (``severi corpus --max-coord 4 | head -1``).
+
+Each command imports the engine it runs in its handler: ``snf`` and ``hsnf``
+load ``intmat``, ``corpus`` loads ``corpus``, ``verify`` every module, and
+``analyze``, ``count`` and ``components`` only ``severi`` and its imports.
 """
 
 from __future__ import annotations
@@ -16,11 +20,8 @@ import sys
 from collections.abc import Sequence
 
 from . import severi
-from .corpus import CorpusSpec, iter_corpus
 from .errors import DomainError, InvariantViolation
-from .intmat import IntMat, hsnf, snf
 from .polygons import LatticePolygon
-from .verify import run_verification
 
 __all__ = ["main", "entry"]
 
@@ -68,7 +69,8 @@ def _load_polygon(path: str) -> LatticePolygon:
     return LatticePolygon([tuple(v) for v in vertices])
 
 
-def _load_matrix(path: str) -> IntMat:
+def _load_matrix(path: str):
+    from .intmat import IntMat
     data = _load_json(path)
     if not isinstance(data, dict):
         raise DomainError(f"{path}: matrix JSON must be an object")
@@ -105,7 +107,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_normal_form(args) -> int:
-    res = args.normal_form(_load_matrix(args.file))
+    from . import intmat
+    res = getattr(intmat, args.command)(_load_matrix(args.file))  # snf or hsnf
     # the result's matrices in field order: Q, D, P or Q, A, P
     out = {name: getattr(res, name).to_json_dict() for name in res.__slots__}
     print(_dump(out, args.pretty))
@@ -113,6 +116,7 @@ def _cmd_normal_form(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    from .corpus import CorpusSpec, iter_corpus
     spec = CorpusSpec(args.max_coord, args.limit)
     # compact JSON lines, as _dump writes them, without building the lists:
     # each box point's text is made once and looked up per vertex
@@ -125,10 +129,11 @@ def _cmd_corpus(args) -> int:
     if not args.out:
         sys.stdout.writelines(docs)
         return EXIT_OK
+    digits = _name_digits(spec)
     try:
         os.makedirs(args.out, exist_ok=True)
         for i, doc in enumerate(docs):
-            path = os.path.join(args.out, f"polygon_{i:06d}.json")
+            path = os.path.join(args.out, f"polygon_{i:0{digits}d}.json")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(doc)
     except OSError as exc:
@@ -136,7 +141,13 @@ def _cmd_corpus(args) -> int:
     return EXIT_OK
 
 
+def _name_digits(spec) -> int:
+    """Six, or the digits of the last index written: names sort as the corpus."""
+    return max(6, len(str(spec.size - 1)))
+
+
 def _cmd_verify(args) -> int:
+    from .verify import run_verification
     report = run_verification(
         max_coord=args.max_coord, trials=args.trials, seed=args.seed
     )
@@ -178,12 +189,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("snf", help="Smith normal form with certificates")
     p.add_argument("file", help="matrix JSON file")
     add_pretty(p)
-    p.set_defaults(func=_cmd_normal_form, normal_form=snf)
+    p.set_defaults(func=_cmd_normal_form)
 
     p = sub.add_parser("hsnf", help="homogeneous Smith normal form")
     p.add_argument("file", help="matrix JSON file (zero row sums)")
     add_pretty(p)
-    p.set_defaults(func=_cmd_normal_form, normal_form=hsnf)
+    p.set_defaults(func=_cmd_normal_form)
 
     p = sub.add_parser("corpus", help="enumerate box polygons as JSON lines")
     p.add_argument("--max-coord", type=int, required=True)

@@ -16,7 +16,6 @@ streamed.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from functools import cmp_to_key
@@ -27,7 +26,12 @@ from ._record import Record
 from .errors import DomainError
 from .polygons import LatticePolygon, _angle_less
 
+TYPE_CHECKING = False  # typing's flag, without importing typing
+if TYPE_CHECKING:
+    import random
+
 __all__ = [
+    "CLASS_COUNTS",
     "CorpusSpec",
     "MAX_EXHAUSTIVE_COORD",
     "convex_hull",
@@ -41,6 +45,8 @@ Point = tuple[int, int]
 # desk-scale bound for exhaustive enumeration; the enumerator's keys hold a
 # vertex (x, y) as the byte (x + 1) * 16 + y + 1, so it must stay <= 14
 MAX_EXHAUSTIVE_COORD = 6
+# translation classes in the box, by max_coordinate: the whole corpus's length
+CLASS_COUNTS = {1: 5, 2: 119, 3: 1_633, 4: 17_978, 5: 177_967, 6: 1_588_952}
 
 
 class CorpusSpec(Record):
@@ -64,6 +70,11 @@ class CorpusSpec(Record):
         if limit is not None and limit < 0:
             raise DomainError("limit must be nonnegative")
         super().__init__(max_coordinate, limit)
+
+    @property
+    def size(self) -> int:  # the number of polygons iter_corpus(self) yields
+        count = CLASS_COUNTS[self.max_coordinate]
+        return count if self.limit is None else min(count, self.limit)
 
 
 def _angular_directions(bound: int) -> list[Point]:

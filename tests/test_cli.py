@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import severi_lattice.cli
+import severi_lattice.intmat
 import severi_lattice.oracles
 import severi_lattice.severi
 from severi_lattice.cli import (
@@ -20,8 +21,10 @@ from severi_lattice.cli import (
     MATRIX_MAX_ROWS,
     _build_parser,
     _dump,
+    _name_digits,
     main,
 )
+from severi_lattice.corpus import CorpusSpec
 from severi_lattice.errors import DomainError
 from severi_lattice.lattices import AffineLattice2
 from severi_lattice.verify import _MAX_TRIALS
@@ -207,6 +210,32 @@ class TestCorpusCommand:
         assert len(files) == 5
         json.loads(files[0].read_text(encoding="utf-8"))
 
+    def test_out_names_sort_in_corpus_order(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        assert main(["corpus", "--max-coord", "2", "--out", str(out)]) == 0
+        assert main(["corpus", "--max-coord", "2"]) == 0
+        files = sorted(out.iterdir())
+        assert [f.name for f in files[:2]] == ["polygon_000000.json", "polygon_000001.json"]
+        text = "".join(f.read_text(encoding="utf-8") for f in files)
+        assert text == capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "max_coordinate, limit, digits",
+        [
+            (1, None, 6),
+            (5, None, 6),  # 177,967 classes
+            (6, None, 7),  # 1,588,952 classes: the last is polygon_1588951
+            (6, 0, 6),
+            (6, 1_000_000, 6),  # the last index is 999,999
+            (6, 1_000_001, 7),
+            (6, 10**9, 7),
+        ],
+    )
+    def test_out_names_have_the_digits_of_the_largest_index(
+        self, max_coordinate, limit, digits
+    ):
+        assert _name_digits(CorpusSpec(max_coordinate, limit)) == digits
+
     @pytest.mark.parametrize("where", ["existing file", "below a file"])
     def test_unwritable_out_is_an_input_error(self, tmp_path, capsys, where):
         blocker = tmp_path / "taken"
@@ -366,7 +395,7 @@ class TestHugeResult:
         def no_reduction(x):
             raise AssertionError(f"{command} ran on a matrix outside the box")
 
-        monkeypatch.setattr(severi_lattice.cli, command, no_reduction)
+        monkeypatch.setattr(severi_lattice.intmat, command, no_reduction)
         # zero row sums, so only the box can refuse it
         grid = [[0] * cols for _ in range(rows)]
         grid[0][0], grid[0][-1] = entry, -entry

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from severi_lattice.corpus import (
+    CLASS_COUNTS,
     MAX_EXHAUSTIVE_COORD,
     CorpusSpec,
     _angular_directions,
@@ -87,6 +88,16 @@ class TestEnumeration:
     )
     def test_class_counts(self, bound, classes):
         assert sum(1 for _ in _edge_classes(bound)) == classes
+
+    @pytest.mark.parametrize("bound", range(1, 6))
+    def test_class_count_table_is_the_corpus_length(self, bound):
+        # max-coord 6 takes seconds; CI counts its 1,588,952 lines
+        assert sorted(CLASS_COUNTS) == list(range(1, MAX_EXHAUSTIVE_COORD + 1))
+        spec = CorpusSpec(max_coordinate=bound)
+        assert spec.size == CLASS_COUNTS[bound] == sum(1 for _ in iter_corpus(spec))
+        for limit in (0, 3, CLASS_COUNTS[bound], CLASS_COUNTS[bound] + 1):
+            limited = CorpusSpec(max_coordinate=bound, limit=limit)
+            assert limited.size == min(limit, CLASS_COUNTS[bound])
 
     def test_classes_in_sorted_vertex_order(self):
         # the integer keys must sort as the vertex tuples do, a shorter

@@ -8,6 +8,7 @@ says, not what happens to be loaded.
 """
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -179,27 +180,84 @@ def test_only_the_record_base_sets_fields_behind_the_frozen_guard():
 
 def test_the_parser_sees_each_import_form():
     # the checks above are only as good as these two readers
-    assert imported("cli") >= {"severi", "corpus", "intmat"}
+    assert imported("cli") >= {"severi", "corpus", "intmat", "verify"}
     assert imported("severi") >= {"oracles", "lattices", "polygons"}
     assert {"interior_count_in", "build_profile"} <= named("severi")
 
 
-def test_the_cli_imports_no_dataclasses_typing_or_pathlib():
-    # each of these costs a severi process milliseconds of start-up;
-    # -S keeps site packages from loading them first
-    probe = (
-        "import sys; import severi_lattice.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing', 'pathlib'} "
-        "& set(sys.modules)))"
-    )
+def fresh(code: str) -> str:
+    """Stdout of ``code`` run in a fresh ``python -S`` process that imports
+    the package from this tree; -S keeps site packages from loading
+    modules first."""
     src = str(PACKAGE.parent)
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, {src!r}); {probe}"],
+    return subprocess.run(
+        [sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, {src!r})\n{code}"],
         capture_output=True,
         text=True,
         check=True,
     ).stdout
-    assert out.strip() == "[]"
+
+
+def test_the_cli_imports_no_dataclasses_typing_or_pathlib():
+    # each of these costs a severi process milliseconds of start-up; each
+    # engine is imported by the command that runs it, not by the CLI
+    probe = (
+        "import severi_lattice.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'pathlib', 'random', "
+        "'severi_lattice.intmat', 'severi_lattice.corpus', "
+        "'severi_lattice.verify', 'severi_lattice.certificates'} & set(sys.modules)))"
+    )
+    assert fresh(probe).strip() == "[]"
+
+
+ANALYZE_PATH = ["_record", "cli", "errors", "lattices", "oracles", "polygons", "severi"]
+
+
+@pytest.mark.parametrize(
+    "argv, engines, loads_random",
+    [
+        (["analyze", "{polygon}"], [], False),
+        (["snf", "{matrix}"], ["intmat"], False),
+        (["corpus", "--max-coord", "1"], ["corpus"], False),
+        (
+            ["verify", "--max-coord", "1", "--trials", "0"],
+            ["certificates", "corpus", "intmat", "verify"],
+            True,
+        ),
+    ],
+    ids=["analyze", "snf", "corpus", "verify"],
+)
+def test_each_command_loads_only_the_engine_it_runs(tmp_path, argv, engines, loads_random):
+    polygon = tmp_path / "p.json"
+    polygon.write_text('{"vertices": [[0, 0], [3, 0], [0, 3]]}', encoding="utf-8")
+    matrix = tmp_path / "m.json"
+    matrix.write_text('{"rows": 1, "cols": 2, "entries": [[2, 4]]}', encoding="utf-8")
+    argv = [arg.format(polygon=polygon, matrix=matrix) for arg in argv]
+    probe = (
+        "import contextlib, io, json\n"
+        "import severi_lattice.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = severi_lattice.cli.main({argv!r})\n"
+        "names = [m.split('.', 1)[1] for m in sys.modules if m.startswith('severi_lattice.')]\n"
+        "print(json.dumps([code, sorted(names), 'random' in sys.modules]))"
+    )
+    code, loaded, has_random = json.loads(fresh(probe))
+    assert code == 0
+    assert loaded == sorted(ANALYZE_PATH + engines)
+    assert has_random is loads_random
+
+
+def test_the_package_root_loads_intmat_on_first_use():
+    probe = (
+        "import severi_lattice\n"
+        "before = 'severi_lattice.intmat' in sys.modules\n"
+        "from severi_lattice import IntMat, snf\n"
+        "from severi_lattice.intmat import IntMat as cls, snf as fn\n"
+        "print(before, IntMat is cls and snf is fn)"
+    )
+    assert fresh(probe).split() == ["False", "True"]
+    with pytest.raises(AttributeError, match="no attribute 'absent'"):
+        severi_lattice.absent
 
 
 def _public(module: str) -> list[str]:
