@@ -1,14 +1,15 @@
 """Base class of the library's immutable value objects.
 
 A subclass lists its fields in ``__slots__``, in order, and is built one
-way, ``cls(*fields)`` (trailing fields may be named): each field is set
-through its slot descriptor, and a wrong field count raises ``TypeError``.
-A validating subclass runs its checks in ``__init__`` and then calls
-``super().__init__``; a trusted builder fills an ``object.__new__``
-instance with ``Record.__init__``.  A field that can be derived from the
-others is a property, not a slot.  Subclasses get what a frozen dataclass
-gets, without importing ``dataclasses``: equality within the class, a hash
-and a ``Name(field=value, ...)`` repr of the fields, ``AttributeError`` on
+way, ``cls(*fields)`` (trailing fields may be named): its ``_fill(self,
+<fields>)``, straight-line code generated from ``__slots__`` on the first
+fill, sets each field through its slot descriptor, and a wrong field count
+raises ``TypeError``.  A validating subclass runs its checks in ``__init__``
+and then calls ``super().__init__``; a trusted builder calls ``_fill`` on an
+``object.__new__`` instance.  A field that can be derived from the others
+is a property, not a slot.  Subclasses get what a frozen dataclass gets,
+without importing ``dataclasses``: equality within the class, a hash and a
+``Name(field=value, ...)`` repr of the fields, ``AttributeError`` on
 assignment, and pickling and copying through the constructor.
 """
 
@@ -20,18 +21,29 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # the field tuple, read in C, and the slot setters; two fields or more
-        cls._values = property(attrgetter(*cls.__slots__))
-        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+        # the field tuple, read in C; attrgetter of one name gives no tuple
+        get = attrgetter(*cls.__slots__)
+        cls._values = property(get if len(cls.__slots__) > 1 else lambda r: (get(r),))
 
     def __init__(self, *fields, **named):
         if named:  # named fields follow the positional ones, in slot order
             rest = self.__slots__[len(fields) :]
             fields += tuple(named.pop(name) for name in rest if name in named)
-        if named or len(fields) != len(self._setters):
+        if named or len(fields) != len(self.__slots__):
             raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
-        for put, value in zip(self._setters, fields):
-            put(self, value)
+        self._fill(*fields)
+
+    def _fill(self, *fields):
+        # first fill of the class: generate its filler, which replaces this
+        # method; the instance and setters take a prefix no slot name has
+        cls, names, me = type(self), self.__slots__, "self"
+        while any(name.startswith(me) for name in names):
+            me = "_" + me
+        scope = {f"{me}{i}": vars(cls)[name].__set__ for i, name in enumerate(names)}
+        body = "".join(f"\n {me}{i}({me}, {name})" for i, name in enumerate(names))
+        exec(f"def _fill({me}, {', '.join(names)}):{body}", scope)
+        cls._fill = scope["_fill"]
+        cls._fill(self, *fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -61,7 +61,7 @@ class IntMat(Record):
         """A matrix the library built itself: ``entries`` is already a tuple
         of ``rows * cols`` plain ints, so no check runs."""
         m = object.__new__(cls)
-        Record.__init__(m, rows, cols, entries)
+        m._fill(rows, cols, entries)
         return m
 
     @classmethod

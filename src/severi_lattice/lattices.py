@@ -15,12 +15,13 @@ Every operation works in closed form on the canonical triangle
 ``(d1, e, d2)``, O(1) per lattice: a translation reduces the new
 basepoint, a quarter turn and each lattice strictly between ``l0`` and
 Z^2 (``l0 + (idx/d) Z^2``) are one ``_canonical_basis`` reduction of a
-few generators, the two ends are ``l0`` and Z^2 themselves, the index in
-Z^2 is ``d1 * d2``, and ``Z^2 / l0`` is cyclic iff ``gcd(d1, e, d2) ==
-1``.  Input is validated where it enters (the constructor,
-``from_generators``, ``contains``, ``affine_span``); values the package
-computes are canonical by construction and go through the trusted forms
-(``_canonical``, ``_through``, ``_has``, ``_span``), which skip both checks.
+few generators (none for Z^2, its own quarter turn and only superlattice),
+the two ends are ``l0`` and Z^2 themselves, the index in Z^2 is ``d1 *
+d2``, and ``Z^2 / l0`` is cyclic iff ``gcd(d1, e, d2) == 1``.  Input is
+validated where it enters (the constructor, ``from_generators``,
+``contains``, ``affine_span``); values the package computes are canonical
+by construction and go through the trusted forms (``_canonical``,
+``_through``, ``_has``, ``_span``), which skip both checks.
 At index one ``_canonical`` returns the ``Z2`` object itself, so the
 lattices the library computes for the common case (``[Z^2 : N0] = 1`` for
 96.4 % of a seeded sample of corpus max-coord 4) cost no allocation, and
@@ -101,7 +102,7 @@ def _canonical(point: Point, d1: int, e: int, d2: int) -> "AffineLattice2":
     x, y = point
     k = y // d2
     lat = object.__new__(AffineLattice2)
-    Record.__init__(lat, ((x - k * e) % d1, y - k * d2), ((d1, e), (0, d2)))
+    lat._fill(((x - k * e) % d1, y - k * d2), ((d1, e), (0, d2)))
     return lat
 
 
@@ -220,6 +221,8 @@ def _require_linear(lat: AffineLattice2, what: str) -> None:
 
 def rotate90(lat: AffineLattice2) -> AffineLattice2:
     """Image of a linear lattice under the quarter turn (x, y) -> (-y, x)."""
+    if lat is Z2:  # its own quarter turn
+        return Z2
     _require_linear(lat, "rotate90")
     (d1, e), (_, d2) = lat.basis
     return _canonical((0, 0), *_canonical_basis([(0, d1), (-d2, e)]))
@@ -254,6 +257,8 @@ def intermediate_lattices(l0: AffineLattice2) -> list[AffineLattice2]:
     ``d | idx``, namely ``(idx/d)`` times the group, so the lattice of
     index ``d`` over ``l0`` is ``N_d = l0 + (idx/d) Z^2``.
     """
+    if l0 is Z2:  # no proper superlattice
+        return [Z2]
     _require_linear(l0, "intermediate_lattices")
     (d1, e), (_, d2) = l0.basis
     a1 = gcd(gcd(d1, e), d2)

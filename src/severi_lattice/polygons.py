@@ -208,12 +208,13 @@ class LatticePolygon:
         the count is cached, so ``analyze`` counts M0 once.
         """
         key = ("count", lattice)
-        if key not in self._cache:
+        count = self._cache.get(key)
+        if count is None:
             self._require_vertices_in(lattice)
             border = sum(self._lengths_in(lattice))
             t2 = self.twice_area() // lattice.index_in_z2
-            self._cache[key] = (t2 - border + 2) // 2
-        return self._cache[key]
+            count = self._cache[key] = (t2 - border + 2) // 2
+        return count
 
     # -- lattice-relative operations --------------------------------------
 
@@ -261,13 +262,14 @@ class LatticePolygon:
         if not lattice.is_linear:
             raise DomainError("lattice_width expects a linear lattice")
         key = ("width", lattice)
-        if key not in self._cache:
+        width = self._cache.get(key)
+        if width is None:
             x0, y0 = self._vertices[0]
             diffs = [(x - x0, y - y0) for x, y in self._vertices]
-            self._cache[key] = _width_of_vertices(
+            width = self._cache[key] = _width_of_vertices(
                 diffs if lattice is Z2 else [_in_basis(lattice, d) for d in diffs]
             )
-        return self._cache[key]
+        return width
 
     def classify_interior_empty(
         self, lattice: AffineLattice2

@@ -164,8 +164,9 @@ def test_only_the_corpus_builds_unvalidated_polygons():
 
 
 def test_only_the_record_base_sets_fields_behind_the_frozen_guard():
-    # every record is filled by Record.__init__, through its slot
-    # descriptors; no other module may write past Record.__setattr__
+    # every record is filled through its slot descriptors by the _fill
+    # that _record generates; no other module may write past
+    # Record.__setattr__
     setters = {
         module
         for module in MODULES

@@ -14,7 +14,7 @@ import pytest
 from severi_lattice._record import Record
 from severi_lattice.corpus import CorpusSpec
 from severi_lattice.intmat import IntMat, hsnf, snf
-from severi_lattice.lattices import Z2, AffineLattice2, affine_span
+from severi_lattice.lattices import Z2, AffineLattice2, _canonical, affine_span
 from severi_lattice.polygons import LatticePolygon
 from severi_lattice.severi import analyze, build_profile, enumerate_components
 
@@ -135,3 +135,48 @@ def test_repr_is_the_dataclass_format():
         "CorpusSpec(max_coordinate=2, limit=None)"
     )
     assert eval(repr(Z2), {"AffineLattice2": AffineLattice2}) == Z2
+
+
+# test-local records of one and of seven fields: the filler is generated
+# from any slot tuple, whatever its length
+class One(Record):
+    __slots__ = ("only",)
+
+
+class Seven(Record):
+    __slots__ = ("a", "b", "c", "d", "e", "f", "g")
+
+
+@pytest.mark.parametrize("cls", [One, Seven], ids=lambda c: c.__name__)
+def test_the_filler_serves_any_field_count(cls):
+    fields = [(i, str(i)) for i in range(len(cls.__slots__))]
+    a, b = cls(*fields), cls(*fields)
+    assert a == b and hash(a) == hash(b) == hash(tuple(fields))
+    assert [getattr(a, name) for name in cls.__slots__] == fields
+    assert a != cls(*fields[:-1], ("other",))
+    clone = pickle.loads(pickle.dumps(a))
+    assert type(clone) is cls and clone == a
+    for wrong in (fields[:-1], fields + fields[:1], []):
+        with pytest.raises(TypeError, match="takes the fields"):
+            cls(*wrong)
+
+
+def test_trusted_builders_equal_the_validating_constructors():
+    entries = (1, 2, -3, 4, -1, -3)
+    assert IntMat._trusted(2, 3, entries) == IntMat(2, 3, entries)
+    # (5, 7) reduced modulo the columns (2, 0) and (1, 3)
+    trusted = _canonical((5, 7), 2, 1, 3)
+    built = AffineLattice2((1, 1), ((2, 1), (0, 3)))
+    assert trusted == built and hash(trusted) == hash(built)
+
+
+def test_one_filler_per_class():
+    class Pair(Record):
+        __slots__ = ("left", "right")
+
+    # generated on the first fill, then kept on the class
+    assert Pair._fill is Record._fill
+    Pair(1, 2)
+    fill = Pair._fill
+    assert fill is not Record._fill
+    assert Pair(3, 4).left == 3 and Pair._fill is fill

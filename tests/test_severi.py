@@ -413,10 +413,11 @@ class TestSinglePass:
             assert sum(calls.values()) == len(divisors(report.profile.idx))
             assert set(calls) == {c.M for c in report.components}
 
-    def test_three_reductions_at_index_one(self, monkeypatch, triangle_d3, unit_square):
-        # M0 from the edge vectors, N0 as its quarter turn and the oracle's
-        # span of the boundary points; at index one the only lattice between
-        # N0 and Z^2 is N0 itself, so intermediate_lattices reduces nothing
+    def test_two_reductions_at_index_one(self, monkeypatch, triangle_d3, unit_square):
+        # M0 from the edge vectors and the oracle's span of the boundary
+        # points; at index one M0 is Z2, its own quarter turn N0 and the only
+        # lattice between N0 and Z^2, so rotate90 and intermediate_lattices
+        # reduce nothing
         calls = Counter()
         reduce = severi_lattice.lattices._canonical_basis
 
@@ -430,7 +431,25 @@ class TestSinglePass:
         for poly in (triangle_d3, unit_square):
             calls.clear()
             assert analyze(LatticePolygon(poly.vertices)).profile.idx == 1
-            assert calls == {"reduce": 3}
+            assert calls == {"reduce": 2}
+
+    def test_one_hash_per_lattice_cache_read(
+        self, monkeypatch, unit_square, triangle_d3, diamond2
+    ):
+        # each lattice-keyed cache read in polygons hashes its key once, and
+        # a miss once more to store
+        calls = Counter()
+        hash_lattice = AffineLattice2.__hash__
+
+        def counting_hash(lattice):
+            calls["hash"] += 1
+            return hash_lattice(lattice)
+
+        monkeypatch.setattr(AffineLattice2, "__hash__", counting_hash)
+        for poly, hashes in ((unit_square, 6), (triangle_d3, 5), (diamond2, 7)):
+            calls.clear()
+            analyze(LatticePolygon(poly.vertices))
+            assert calls == {"hash": hashes}
 
     def test_no_change_of_basis_at_index_one(
         self, monkeypatch, unit_square, triangle_d3, diamond2
