@@ -516,8 +516,7 @@ def hsnf_left(x: IntMat) -> IntMat:
     _require_homogeneous(x)
     s, l = x.rows, x.cols
     q = _unit_rows(s)
-    if l > 1:
-        _smith_reduce(x.to_cols()[1:], s, l - 1, q, [[] for _ in range(l - 1)])
+    _smith_reduce(x.to_cols()[1:], s, l - 1, q, [[] for _ in range(l - 1)])
     return IntMat._trusted(s, s, tuple(chain.from_iterable(q)))
 
 
@@ -537,8 +536,6 @@ def hsnf_form(x: IntMat) -> IntMat:
         if sum(e[i : i + l]):
             raise DomainError(_NOT_HOMOGENEOUS)
         erased.append(list(e[i + 1 : i + l]))
-    if l == 1:
-        return x
     diag = _invariant_chain(erased)
     flat = [0] * (s * l)
     for i, v in enumerate(diag):

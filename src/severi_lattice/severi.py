@@ -1,25 +1,24 @@
 """Component counting for genus-one Severi varieties of toric surfaces.
 
 Pipeline: from a convex lattice polygon, build the boundary profile (the
-facets with their primitive inner normals and lengths), turn the boundary
-lattice a quarter to get the normal lattice, and enumerate one component
-descriptor per divisor d of its index.  The number of irreducible
-components is the number of contributing descriptors: the intermediate
-affine lattices whose interior point count is positive.
+facets with their primitive inner normals and lengths, and the boundary
+lattice M0 with its interior classification and width), turn M0 a quarter
+to get the normal lattice, and enumerate one component descriptor per
+divisor d of its index.  The number of irreducible components is the
+number of contributing descriptors: the intermediate affine lattices whose
+interior point count is positive.
 
-Production path (``enumerate_components``, ``count_components``, the
-classification): the profile is O(facets); the lattices come from closed
-forms on their canonical triangles, O(1) each, built by the trusted forms
-of ``lattices`` from values the polygon already checked; interior counts
-come from Pick's theorem, O(vertices), once per lattice (M0's count
-serves its classification and the d == 1 descriptor, whose pair is (n0,
-m0)), and the lattice width from Gauss reduction, so no work grows with
-the polygon's area or its boundary length.  ``analyze`` builds the
-profile once and classifies M0 once, counts the contributing descriptors,
-and checks that count against the divisor formula and
-``oracles.count_components_oracle``, which shares no formula with this
-module.  The per-point normal matrix and the certificates read from it
-live in ``certificates``; this module imports no ``intmat``.
+Production path: each entry point builds one profile, O(vertices) plus
+one Gauss reduction of M0's width, and reads the rest from it; the
+lattices come from closed forms on their canonical triangles, O(1) each,
+built by the trusted forms of ``lattices`` from values the polygon already
+checked; interior counts come from Pick's theorem, O(vertices), once per
+lattice (M0's count serves its classification and the d == 1 descriptor,
+whose pair is (n0, m0)), so no work grows with the polygon's area or its
+boundary length.  ``analyze`` checks its count of contributing descriptors
+against the divisor formula and ``oracles.count_components_oracle``, which
+shares no formula with this module.  The per-point normal matrix and the
+certificates read from it live in ``certificates``; no ``intmat`` here.
 """
 
 from __future__ import annotations
@@ -48,16 +47,19 @@ __all__ = [
 
 
 class BoundaryProfile(Record):
-    """Boundary data of a polygon: facets, normal lattice, boundary lattice.
+    """Boundary data of a polygon: facets, boundary lattice, normal lattice.
 
     Held at the level of facets: ``m0`` is the affine span of the boundary
     points, ``n0`` the linear span of the primitive inner normals; the two
-    are exchanged by a quarter turn, and ``idx == [Z^2 : n0]``.  The
-    per-point normal matrix (``certificates.a_delta``) is built from the
-    facets where it is read.
+    are exchanged by a quarter turn, and ``idx == [Z^2 : n0]``.  M0's
+    interior ``classification`` and lattice ``width``, with a ``direction``
+    in M0's basis frame that attains it, ride with them.  The per-point
+    normal matrix (``certificates.a_delta``) is built where it is read.
     """
 
-    __slots__ = ("polygon", "facets", "m0", "n0", "idx")
+    __slots__ = (
+        "polygon", "facets", "m0", "n0", "idx", "classification", "width", "direction",
+    )
 
     @property
     def l(self) -> int:
@@ -67,12 +69,14 @@ class BoundaryProfile(Record):
 def build_profile(polygon: LatticePolygon) -> BoundaryProfile:
     """Assemble the boundary profile and check that the normals close up.
 
-    O(facets), from facet data alone: ``m0`` is the first vertex plus the
-    span of the primitive edge vectors (every boundary point is a vertex
-    plus multiples of them, and each is a difference of two boundary
-    points); the normals close up when ``sum l_j n_j == 0``; and ``n0`` is
-    the quarter turn of ``m0``'s linear part, since each primitive inner
-    normal is the quarter turn of its primitive edge vector.  The verify
+    O(vertices) plus one width reduction, from facet data alone: ``m0`` is
+    the first vertex plus the span of the primitive edge vectors (every
+    boundary point is a vertex plus multiples of them, and each is a
+    difference of two boundary points); the normals close up when ``sum l_j
+    n_j == 0``; and ``n0`` is the quarter turn of ``m0``'s linear part,
+    since each primitive inner normal is the quarter turn of its primitive
+    edge vector.  M0 is classified and its width reduced once; an empty
+    interior's classification reads the same cached width.  The verify
     battery checks ``n0`` against the span of the normals, and the
     invariant factors (1, idx) of the 2 x l normal matrix.
     """
@@ -84,8 +88,10 @@ def build_profile(polygon: LatticePolygon) -> BoundaryProfile:
     # the polygon's own integer pairs: no check
     gens = [(f.vector[0] // f.length, f.vector[1] // f.length) for f in facets]
     m0 = _canonical(polygon.vertices[0], *_canonical_basis(gens))
-    n0 = rotate90(m0.linear_part())
-    return BoundaryProfile(polygon, facets, m0, n0, n0.index_in_z2)
+    linear = m0.linear_part()
+    n0 = rotate90(linear)
+    m0_facts = polygon.classify_interior_empty(m0), *polygon.lattice_width(linear)
+    return BoundaryProfile(polygon, facets, m0, n0, n0.index_in_z2, *m0_facts)
 
 
 class ComponentDescriptor(Record):
@@ -127,8 +133,7 @@ def enumerate_components(polygon: LatticePolygon) -> list[ComponentDescriptor]:
     a non-birational cover when the polygon is twice a primitive triangle
     in the boundary lattice.  Every other descriptor contributes.
     """
-    profile = build_profile(polygon)
-    return _descriptors(profile, polygon.classify_interior_empty(profile.m0))
+    return _descriptors(build_profile(polygon))
 
 
 def count_components(polygon: LatticePolygon) -> int:
@@ -138,22 +143,20 @@ def count_components(polygon: LatticePolygon) -> int:
     index, less one when the boundary lattice sees no interior point (only
     the minimal lattice can violate the interior condition).
     """
-    profile = build_profile(polygon)
-    return _formula_count(profile, polygon.classify_interior_empty(profile.m0))
+    return _formula_count(build_profile(polygon))
 
 
-def _descriptors(
-    profile: BoundaryProfile, classification: InteriorClassification
-) -> list[ComponentDescriptor]:
-    """``enumerate_components`` from a built profile and M0's classification;
-    the d == 1 pair is (n0, m0) itself, so M0's cached count serves it."""
+def _descriptors(profile: BoundaryProfile) -> list[ComponentDescriptor]:
+    """``enumerate_components`` from a built profile; the d == 1 pair is
+    (n0, m0) itself, so M0's cached count serves it."""
     polygon = profile.polygon
     m0 = profile.m0
-    width_one = classification is InteriorClassification.WIDTH_ONE
-    twice_primitive = classification is InteriorClassification.TWICE_PRIMITIVE_TRIANGLE
+    cls = profile.classification
+    width_one = cls is InteriorClassification.WIDTH_ONE
+    twice_primitive = cls is InteriorClassification.TWICE_PRIMITIVE_TRIANGLE
     out: list[ComponentDescriptor] = []
-    # intermediate_lattices is sorted by [N : n0], as divisors lists each d
-    for d, n_lat in zip(divisors(profile.idx), intermediate_lattices(profile.n0)):
+    for n_lat in intermediate_lattices(profile.n0):
+        d = profile.idx // n_lat.index_in_z2
         m_lat = m0 if d == 1 else rotate90(n_lat)._through(m0.basepoint)
         out.append(
             ComponentDescriptor(
@@ -164,24 +167,20 @@ def _descriptors(
     return out
 
 
-def _formula_count(
-    profile: BoundaryProfile, classification: InteriorClassification
-) -> int:
-    """``count_components`` from a built profile and M0's classification."""
+def _formula_count(profile: BoundaryProfile) -> int:
+    """``count_components`` from a built profile."""
     n = len(divisors(profile.idx))
-    if classification is not InteriorClassification.NON_EMPTY_INTERIOR:
+    if profile.classification is not InteriorClassification.NON_EMPTY_INTERIOR:
         n -= 1
     return n
 
 
 class SeveriReport(Record):
     """Aggregate analysis of one polygon: its boundary profile (the polygon,
-    facets, m0, n0 and idx), the lattice width of M0 with a direction that
-    attains it, M0's interior classification and the descriptors."""
+    facets, m0, n0, idx, and M0's classification, width and width
+    direction) and the descriptors."""
 
-    __slots__ = (
-        "profile", "width_m0", "width_m0_direction", "classification_m0", "components",
-    )
+    __slots__ = ("profile", "components")
 
     @property
     def component_count(self) -> int:
@@ -201,10 +200,10 @@ class SeveriReport(Record):
             "m0": profile.m0.to_json_dict(),
             "n0": profile.n0.to_json_dict(),
             "lattice_width_m0": {
-                "width": self.width_m0,
-                "direction": list(self.width_m0_direction),
+                "width": profile.width,
+                "direction": list(profile.direction),
             },
-            "interior_classification_m0": self.classification_m0.value,
+            "interior_classification_m0": profile.classification.value,
             "components": [c.to_json_dict() for c in self.components],
             "component_count": self.component_count,
         }
@@ -213,20 +212,16 @@ class SeveriReport(Record):
 def analyze(polygon: LatticePolygon) -> SeveriReport:
     """Full report; its count is checked against the formula and the oracle.
 
-    One pass: the boundary profile is built once and M0 classified once; the
-    count is the number of contributing descriptors, and must equal the
-    divisor-formula count and the brute-force oracle count.  The oracle
-    builds its own boundary lattice from the points.
+    One pass: the boundary profile, which holds M0's classification and
+    width, is built once; the count is the number of contributing
+    descriptors, and must equal the divisor-formula count and the
+    brute-force oracle count.  The oracle builds its own boundary lattice
+    from the points.
     """
     profile = build_profile(polygon)
-    classification = polygon.classify_interior_empty(profile.m0)
-    width, direction = polygon.lattice_width(profile.m0.linear_part())
-    report = SeveriReport(
-        profile, width, direction, classification,
-        tuple(_descriptors(profile, classification)),
-    )
+    report = SeveriReport(profile, tuple(_descriptors(profile)))
     count = report.component_count
-    formula = _formula_count(profile, classification)
+    formula = _formula_count(profile)
     if count != formula:
         raise InvariantViolation(
             f"contributing descriptors {count} != component count {formula}"

@@ -6,15 +6,15 @@ reports pass/fail counts.  Used by the ``verify`` CLI command and by the
 acceptance suite.
 
 A corpus check is a row of ``_CORPUS_ROWS``: a function that reads one
-polygon's boundary profile and the classification of its M0, and returns
-None for a pass or the failure detail.  The table order is the order of
-the CLI table; the two random-polygon rows follow it.
+polygon's boundary profile (which holds M0's classification and width),
+and returns None for a pass or the failure detail.  The table order is the
+order of the CLI table; the two random-polygon rows follow it.
 
 One failure rule holds for the whole battery: an ``InvariantViolation``
 fails every row it keeps from being computed, and the battery goes on.
-Raised by a row, it fails that row; raised by the profile build or M0's
-classification, every row of that polygon (all ten corpus rows, or a
-random trial's count row and its three image rows).
+Raised by a row, it fails that row; raised by the profile build, every row
+of that polygon (all ten corpus rows, or a random trial's count row and
+its three image rows).
 """
 
 from __future__ import annotations
@@ -154,34 +154,26 @@ def perturb_homogeneous(x: IntMat, rng: random.Random) -> IntMat:
 
 # -- polygon checks --------------------------------------------------------
 
-# sup-norm of the direction box that brute_force_width searches.  On the
-# corpus its two strips, not this box, bound the scan: a box of 10**4 gives
-# the same answer on every polygon of corpus max-coord 3
-# (tests/test_closed_forms.py), and did at max-coord 4 and 5.  So the
-# width row, ``_width``, compares the Gauss width with the minimum over
-# every primitive direction, not over a box.
-_WIDTH_ORACLE_SUP_NORM = 25
-
 # largest accepted --trials: one trial took at most 8.1 ms in 20,000 (README)
 _MAX_TRIALS = 10_000
 
 
-def _pick_z2(profile: BoundaryProfile, cls_m0: InteriorClassification) -> str | None:
+def _pick_z2(profile: BoundaryProfile) -> str | None:
     return None if profile.polygon.verify_pick(Z2) else repr(profile.polygon)
 
 
-def _pick_m0(profile: BoundaryProfile, cls_m0: InteriorClassification) -> str | None:
+def _pick_m0(profile: BoundaryProfile) -> str | None:
     return None if profile.polygon.verify_pick(profile.m0) else repr(profile.polygon)
 
 
-def _width(profile: BoundaryProfile, cls_m0: InteriorClassification) -> str | None:
+def _width(profile: BoundaryProfile) -> str | None:
     poly = profile.polygon
     w_alg = poly.lattice_width(Z2)
-    w_ref = brute_force_width(poly, _WIDTH_ORACLE_SUP_NORM)
+    w_ref = brute_force_width(poly)
     return None if w_alg == w_ref else f"{poly!r}: {w_alg} vs {w_ref}"
 
 
-def _lemma(profile: BoundaryProfile, cls_m0: InteriorClassification) -> str | None:
+def _lemma(profile: BoundaryProfile) -> str | None:
     poly = profile.polygon
     empty = not poly.interior_points()
     cls = poly.classify_interior_empty(Z2)
@@ -190,14 +182,14 @@ def _lemma(profile: BoundaryProfile, cls_m0: InteriorClassification) -> str | No
     return f"{poly!r}: interior empty={empty} classified {cls}"
 
 
-def _count(profile: BoundaryProfile, cls_m0: InteriorClassification) -> str | None:
+def _count(profile: BoundaryProfile) -> str | None:
     poly = profile.polygon
-    formula = severi._formula_count(profile, cls_m0)
+    formula = severi._formula_count(profile)
     oracle = count_components_oracle(poly)
     return None if formula == oracle else f"{poly!r}: {formula} vs {oracle}"
 
 
-def _factors(profile: BoundaryProfile, cls_m0: InteriorClassification) -> str | None:
+def _factors(profile: BoundaryProfile) -> str | None:
     normals = a_delta(profile)
     fs = invariant_factors(normals)
     g1 = minor_gcd(normals, 1)
@@ -207,30 +199,28 @@ def _factors(profile: BoundaryProfile, cls_m0: InteriorClassification) -> str | 
     return f"{profile.polygon!r}: snf {fs}, minors ({g1}, {g2}), idx {profile.idx}"
 
 
-def _rotation(profile: BoundaryProfile, cls_m0: InteriorClassification) -> str | None:
+def _rotation(profile: BoundaryProfile) -> str | None:
     n_span = AffineLattice2.linear_from_generators([f.normal for f in profile.facets])
     return None if profile.n0 == n_span else repr(profile.polygon)
 
 
-def _rank(profile: BoundaryProfile, cls_m0: InteriorClassification) -> str | None:
-    poly = profile.polygon
+def _rank(profile: BoundaryProfile) -> str | None:
     pair = width_one_by_rank(profile)
-    w_m0 = poly.lattice_width(profile.m0.linear_part())[0]
-    if (pair is not None) == (w_m0 == 1):
+    if (pair is not None) == (profile.width == 1):
         return None
-    return f"{poly!r}: pair {pair}, width {w_m0}"
+    return f"{profile.polygon!r}: pair {pair}, width {profile.width}"
 
 
-def _signature(profile: BoundaryProfile, cls_m0: InteriorClassification) -> None:
+def _signature(profile: BoundaryProfile) -> None:
     # z must be divisible by idx, sum to zero and be constant on facet
     # blocks; component_signature raises on the first that fails
     component_signature(profile)
 
 
-def _monotone(profile: BoundaryProfile, cls_m0: InteriorClassification) -> str | None:
+def _monotone(profile: BoundaryProfile) -> str | None:
     poly = profile.polygon
     base = len(poly.interior_points_in(profile.m0))
-    comps = severi._descriptors(profile, cls_m0)
+    comps = severi._descriptors(profile)
     grows = all(c.d == 1 or c.interior_count > base for c in comps)
     return None if grows else repr(poly)
 
@@ -249,25 +239,22 @@ _CORPUS_ROWS = (
 )
 
 
-def _image_count(
-    image: LatticePolygon, profile: BoundaryProfile, cls_m0: InteriorClassification
-) -> str | None:
-    same = severi.count_components(image) == severi._formula_count(profile, cls_m0)
+def _image_count(image: LatticePolygon, profile: BoundaryProfile) -> str | None:
+    same = severi.count_components(image) == severi._formula_count(profile)
     return None if same else f"{profile.polygon!r} -> {image!r}"
 
 
 def _details(poly: LatticePolygon, rows) -> list[str | None]:
-    """Each row's detail on ``poly``'s profile and M0's classification,
-    both built once, under the module's one failure rule."""
+    """Each row's detail on ``poly``'s profile, built once, under the
+    module's one failure rule."""
     try:
         profile = severi.build_profile(poly)
-        cls_m0 = poly.classify_interior_empty(profile.m0)
     except InvariantViolation as exc:
         return [f"{poly!r}: {exc}"] * len(rows)
     details = []
     for row in rows:
         try:
-            details.append(row(profile, cls_m0))
+            details.append(row(profile))
         except InvariantViolation as exc:
             details.append(f"{poly!r}: {exc}")
     return details
@@ -278,15 +265,15 @@ def run_verification(
 ) -> VerificationReport:
     """Run the full battery over the exhaustive corpus plus random trials.
 
-    One pass per corpus polygon: its boundary profile is built once and M0
-    classified once, and each row of ``_CORPUS_ROWS``, in table order (the
-    CLI table's order), reads them and returns None for a pass or the
-    failure detail; a random trial's polygon feeds its count row and three
-    image rows the same way.  The formula count and the descriptors derive
-    from the profile, as in ``analyze``; the oracle count and the other
-    checks keep their own paths.  Each polygon leaves the corpus list once
-    it is checked, so its caches are released then, not at the end of the
-    run.
+    One pass per corpus polygon: its boundary profile, with M0's
+    classification and width, is built once, and each row of
+    ``_CORPUS_ROWS``, in table order (the CLI table's order), reads it and
+    returns None for a pass or the failure detail; a random trial's polygon
+    feeds its count row and three image rows the same way.  The formula
+    count and the descriptors derive from the profile, as in ``analyze``;
+    the oracle count and the other checks keep their own paths.  Each
+    polygon leaves the corpus list once it is checked, so its caches are
+    released then, not at the end of the run.
     """
     if trials < 0:
         raise DomainError("trials must be nonnegative")

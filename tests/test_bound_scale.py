@@ -78,7 +78,7 @@ def test_triangle():
     assert [(c.d, c.interior_count) for c in report.components] == [
         (1, 2 * R * R - 3 * R + 1)
     ]
-    assert report.width_m0 == 2 * R
+    assert report.profile.width == 2 * R
     assert report.component_count == 1
 
 
@@ -89,7 +89,7 @@ def test_square_has_the_longest_boundary():
         (1, (2 * R - 1) ** 2)
     ]
     assert (2 * R - 1) ** 2 == 399_960_001
-    assert (report.width_m0, report.width_m0_direction) == (2 * R, (0, 1))
+    assert (report.profile.width, report.profile.direction) == (2 * R, (0, 1))
     assert report.component_count == 1
 
 
@@ -103,8 +103,8 @@ def test_square_has_the_longest_boundary():
 )
 def test_width_one(vertices):
     report = _timed_analyze(vertices)
-    assert report.classification_m0 is InteriorClassification.WIDTH_ONE
-    assert report.width_m0 == 1
+    assert report.profile.classification is InteriorClassification.WIDTH_ONE
+    assert report.profile.width == 1
     assert [c.interior_count for c in report.components] == [0]
     assert report.component_count == 0
 

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -67,6 +68,53 @@ class TestBuildProfile:
             profile = build_profile(poly)
             normals = [f.normal for f in profile.facets]
             assert profile.n0 == AffineLattice2.linear_from_generators(normals)
+
+    def test_profile_holds_m0_classification_and_width(
+        self, monkeypatch, triangle_d2, unit_square, diamond2
+    ):
+        # M0's facts, read on a fresh equal polygon (empty caches), over the
+        # corpus and at the coordinate bound; analyze reports this profile
+        R = 10**4
+        bound = [
+            [(R, 0), (0, R), (-R, 0), (0, -R)],
+            [(-R, -R), (R, -R), (-R, R)],
+            [(-R, -R), (R, -R), (R, R), (-R, R)],
+            [(-R, 0), (R, 0), (R, 1), (-R, 1)],
+            [(0, -R), (1, -R), (1, R)],
+        ]
+        corpus = iter_corpus(CorpusSpec(max_coordinate=3))
+        for poly in chain(corpus, map(LatticePolygon, bound)):
+            profile = build_profile(poly)
+            fresh = LatticePolygon(poly.vertices)
+            m0 = profile.m0
+            assert profile.classification is fresh.classify_interior_empty(m0)
+            width = fresh.lattice_width(m0.linear_part())
+            assert (profile.width, profile.direction) == width, poly
+            assert analyze(poly).profile == profile
+        # count_components classifies M0 once and reduces its width once,
+        # whether or not the classification needs the width
+        calls = Counter()
+        classify = LatticePolygon.classify_interior_empty
+        reduce = severi_lattice.polygons._width_of_vertices
+
+        def counting_classify(polygon, lattice):
+            calls["classify"] += 1
+            return classify(polygon, lattice)
+
+        def counting_reduce(verts):
+            calls["reduce"] += 1
+            return reduce(verts)
+
+        monkeypatch.setattr(
+            LatticePolygon, "classify_interior_empty", counting_classify
+        )
+        monkeypatch.setattr(
+            severi_lattice.polygons, "_width_of_vertices", counting_reduce
+        )
+        for poly in (triangle_d2, unit_square, diamond2):
+            calls.clear()
+            count_components(LatticePolygon(poly.vertices))
+            assert calls == {"classify": 1, "reduce": 1}
 
 
 class TestComponentSignature:
@@ -316,7 +364,7 @@ class TestAnalyze:
         report = analyze(triangle_d2)
         assert report.component_count == 0
         assert (
-            report.classification_m0
+            report.profile.classification
             is InteriorClassification.TWICE_PRIMITIVE_TRIANGLE
         )
         assert report.profile.l == 6
@@ -327,12 +375,12 @@ class TestAnalyze:
         assert report.profile.idx == 2
         assert [c.d for c in report.components] == [1, 2]
         assert report.component_count == 2
-        assert report.width_m0 == 2
+        assert report.profile.width == 2
 
     def test_unit_square_report(self, unit_square):
         report = analyze(unit_square)
         assert report.component_count == 0
-        assert report.classification_m0 is InteriorClassification.WIDTH_ONE
+        assert report.profile.classification is InteriorClassification.WIDTH_ONE
 
     def test_json_shape(self, diamond1):
         doc = analyze(diamond1).to_json_dict()
@@ -390,7 +438,7 @@ class TestSinglePass:
         ):
             calls.clear()
             report = analyze(LatticePolygon(poly.vertices))
-            assert report.classification_m0 is cls
+            assert report.profile.classification is cls
             assert calls == {"reduce": 1}
 
     def test_one_pick_per_lattice(

@@ -107,7 +107,10 @@ class TestOnePass:
 
         def wrong_n0(poly):
             p = build(poly)
-            return BoundaryProfile(p.polygon, p.facets, p.m0, Z2, p.idx)
+            return BoundaryProfile(
+                p.polygon, p.facets, p.m0, Z2, p.idx,
+                p.classification, p.width, p.direction,
+            )
 
         monkeypatch.setattr(severi, "build_profile", wrong_n0)
         report = run_verification(max_coord=2, trials=0)
@@ -141,12 +144,12 @@ class TestOnePass:
         # only the polygons with a lattice above M0 (d > 1) can fail
         exact = severi._descriptors
 
-        def flat(profile, classification):
+        def flat(profile):
             return [
                 ComponentDescriptor(
                     c.N, c.M, c.d, 0, c.is_empty_locus, c.excluded_nonbirational
                 )
-                for c in exact(profile, classification)
+                for c in exact(profile)
             ]
 
         monkeypatch.setattr(severi, "_descriptors", flat)
