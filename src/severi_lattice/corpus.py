@@ -5,13 +5,13 @@ convex lattice polygon is, up to translation, exactly a choice of pairwise
 non-parallel edge vectors summing to zero, each a positive multiple of a
 primitive direction, traversed in angular order.  A depth-first walk picks
 each next edge directly (a later direction, then its multiple) and is cut
-as soon as it cannot close inside the box.  A step of the walk examines
-only the directions whose unit step keeps its extents inside the box, from
-an index of them kept per extent state.  Every translation class inside
-the box is produced exactly once, held as one order-preserving integer key
-(one byte per vertex), and the keys are sorted once and decoded one
-polygon at a time, each by one table lookup per byte, as the corpus is
-streamed.
+where it cannot close inside the box.  A step of the walk examines only
+the directions whose unit step keeps its extents inside the box, from an
+index of them kept per extent state.  Every translation class inside the
+box is produced exactly once, held as one ``bytes`` key (one byte per
+vertex, so bytes order is vertex order), and the keys are sorted once and
+decoded one polygon at a time, each by one table lookup per byte, as the
+corpus is streamed.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from functools import cmp_to_key
-from itertools import accumulate, islice
+from itertools import islice
 from math import gcd
 
 from ._record import Record
 from .errors import DomainError
-from .polygons import LatticePolygon, _angle_less
+from .polygons import LatticePolygon
 
 TYPE_CHECKING = False  # typing's flag, without importing typing
 if TYPE_CHECKING:
@@ -42,8 +42,9 @@ __all__ = [
 
 Point = tuple[int, int]
 
-# desk-scale bound for exhaustive enumeration; the enumerator's keys hold a
-# vertex (x, y) as the byte (x + 1) * 16 + y + 1, so it must stay <= 14
+# desk-scale bound for exhaustive enumeration; the walk holds a vertex (x, y),
+# -bound <= x <= bound, as the byte (x + bound + 1) * 16 + y + 1, so it must
+# stay <= 7
 MAX_EXHAUSTIVE_COORD = 6
 # translation classes in the box, by max_coordinate: the whole corpus's length
 CLASS_COUNTS = {1: 5, 2: 119, 3: 1_633, 4: 17_978, 5: 177_967, 6: 1_588_952}
@@ -75,6 +76,18 @@ class CorpusSpec(Record):
     def size(self) -> int:  # the number of polygons iter_corpus(self) yields
         count = CLASS_COUNTS[self.max_coordinate]
         return count if self.limit is None else min(count, self.limit)
+
+
+def _half(v: Point) -> int:
+    """0 for the upper half-plane (incl. positive x-axis), 1 otherwise."""
+    return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
+
+
+def _angle_less(u: Point, v: Point) -> bool:
+    hu, hv = _half(u), _half(v)
+    if hu != hv:
+        return hu < hv
+    return u[0] * v[1] - u[1] * v[0] > 0
 
 
 def _angular_directions(bound: int) -> list[Point]:
@@ -114,10 +127,9 @@ def _edge_classes(bound: int) -> Iterator[tuple[Point, ...]]:
     to the origin after at least two edges.  The first edge has the
     smallest angle from (1, 0), so each class is walked exactly once, from
     its lowest vertex.  A direction is skipped when the origin lies to its
-    right (no convex polygon has such an edge), and a branch is cut when
-    the directions left cannot bring the walk back: by per-suffix
-    reachable displacement ranges, and, once the directions left span less
-    than a half-turn, by the cone they span.
+    right (no convex polygon has such an edge), and once the directions
+    left span less than a half-turn, a branch is cut when the way back
+    leaves the cone they span.
 
     A node examines only the directions whose unit step keeps its extents
     inside the box.  No multiple of any other direction fits, and none can
@@ -128,56 +140,35 @@ def _edge_classes(bound: int) -> Iterator[tuple[Point, ...]]:
     a node starts in its list at its first allowed direction, by bisection.
     The walk records the same keys as one that examines every direction.
 
-    Each class is held as one integer key, one byte per vertex: vertex
-    (x, y) is the byte (x + 1) * 16 + y + 1, never zero, vertex after
-    vertex, padded with zero bytes to a fixed length.  Integer order is
-    then the order of the vertex tuples, a shorter tuple first where it is
-    a prefix.  The keys are sorted once, and each is decoded as it is
-    yielded, by mapping its bytes, zero padding stripped, through a table.
+    Each class is held as one ``bytes`` key, one byte per vertex: the walk
+    holds vertex (x, y), x >= -bound, as the byte (x + bound + 1) * 16 +
+    y + 1, and a closed walk's key is moved, by its least byte's x, onto
+    the box, where (x, y) is the byte (x + 1) * 16 + y + 1.  Bytes compare
+    as the vertex tuples do, a shorter tuple first where it is a prefix, so
+    the keys are sorted once and each is decoded as it is yielded, by
+    mapping its bytes through a table.
     """
     dirs = _angular_directions(bound)
     n = len(dirs)
-    # per-suffix reachable x/y displacement ranges, for pruning
-    sufpx = [0] * (n + 1)
-    sufnx = [0] * (n + 1)
-    sufpy = [0] * (n + 1)
-    sufny = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        dx, dy = dirs[i]
-        m = bound // max(abs(dx), abs(dy))
-        sufpx[i] = sufpx[i + 1] + (dx * m if dx > 0 else 0)
-        sufnx[i] = sufnx[i + 1] + (-dx * m if dx < 0 else 0)
-        sufpy[i] = sufpy[i + 1] + (dy * m if dy > 0 else 0)
-        sufny[i] = sufny[i + 1] + (-dy * m if dy < 0 else 0)
     lx, ly = dirs[-1]
     # from direction ``narrow`` on, the directions left span under a half-turn
     narrow = next(j for j, (dx, dy) in enumerate(dirs) if dx * ly - dy * lx > 0)
     fitting: dict[tuple[int, int, int, int], list[int]] = {}
+    # table[s] moves every vertex of a key s steps down in x; a walk's least
+    # x is that of its least byte, so its key moves onto the box by
+    # table[(min(key) >> 4) - 1]
+    table = [bytes(16 * s) + bytes(range(256 - 16 * s)) for s in range(bound + 1)]
+    byte = [bytes((b,)) for b in range(256)]  # made once; a step appends one
+    keys: list[bytes] = []
 
-    # a walk's extents are at most ``bound`` each way, so its edges' |dx| + |dy|
-    # sum to at most 4 * bound; no two share a direction, so it has at most
-    # as many edges as the cheapest directions that fit that sum
-    costs = accumulate(sorted(abs(dx) + abs(dy) for dx, dy in dirs))
-    slots = 1 + sum(1 for total in costs if total <= 4 * bound)  # vertices a walk visits
-    place = [1 << 8 * (slots - 1 - k) for k in range(slots)]
-    # shift[m]: what moving the first m vertices one step in x adds to a key
-    shift = [16 * sum(place[:m]) for m in range(slots + 1)]
-    keys: list[int] = []
-
-    def walk(i, depth, key, minx, sx, sy, px, nx, py, ny):
-        # the walk is at (sx, sy), its vertex number ``depth``, with x/y
+    def walk(i, key, sx, sy, px, nx, py, ny):
+        # the walk is at (sx, sy), the last vertex of ``key``, with x/y
         # extents px, nx, py, ny; its next edge has direction i or later
-        key += ((sx + 1) * 16 + sy + 1) * place[depth]
-        if sx < minx:
-            minx = sx
+        key += byte[(sx + bound + 1) * 16 + sy + 1]
         fit = fitting.get((px, nx, py, ny))
         if fit is None:
             fit = fitting[px, nx, py, ny] = _fitting_directions(dirs, bound, px, nx, py, ny)
         for j in fit[bisect_left(fit, i) :]:
-            # the suffix ranges shrink with j, so once the walk cannot get
-            # back from direction j on, it cannot from any later one
-            if sx > sufnx[j] or -sx > sufpx[j] or sy > sufny[j] or -sy > sufpy[j]:
-                return
             dx, dy = dirs[j]
             turn = dy * sx - dx * sy  # > 0: the origin is left of this edge
             if turn < 0:
@@ -187,8 +178,8 @@ def _edge_classes(bound: int) -> Iterator[tuple[Point, ...]]:
             if turn == 0 and (sx or sy):
                 # the only edge along this line that can follow is the
                 # closing one, if the line points back to the origin
-                if depth >= 2 and (dx * sx < 0 or dy * sy < 0):
-                    keys.append(key - minx * shift[depth + 1])
+                if len(key) >= 3 and (dx * sx < 0 or dy * sy < 0):
+                    keys.append(key.translate(table[(min(key) >> 4) - 1]))
                 continue
             ex, ey = dx, dy
             while True:
@@ -205,11 +196,11 @@ def _edge_classes(bound: int) -> Iterator[tuple[Point, ...]]:
                     and dirs[j + 1][1] * tx - dirs[j + 1][0] * ty >= 0
                     and lx * ty - ly * tx >= 0
                 ):
-                    walk(j + 1, depth + 1, key, minx, tx, ty, npx, nnx, npy, nny)
+                    walk(j + 1, key, tx, ty, npx, nnx, npy, nny)
                 ex += dx
                 ey += dy
 
-    walk(0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+    walk(0, b"", 0, 0, 0, 0, 0, 0)
     # walk refers to itself through its closure cell; clearing the cell
     # breaks that cycle, so its frames are freed by reference counting
     del walk
@@ -221,7 +212,7 @@ def _edge_classes(bound: int) -> Iterator[tuple[Point, ...]]:
             vertex[(x + 1) * 16 + y + 1] = (x, y)
     decode = vertex.__getitem__
     for key in keys:
-        yield tuple(map(decode, key.to_bytes(slots, "big").rstrip(b"\0")))
+        yield tuple(map(decode, key))
 
 
 def iter_corpus(spec: CorpusSpec) -> Iterator[LatticePolygon]:

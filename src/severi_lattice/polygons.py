@@ -71,18 +71,6 @@ class Facet(Record):
         }
 
 
-def _half(v: Point) -> int:
-    """0 for the upper half-plane (incl. positive x-axis), 1 otherwise."""
-    return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-
-def _angle_less(u: Point, v: Point) -> bool:
-    hu, hv = _half(u), _half(v)
-    if hu != hv:
-        return hu < hv
-    return u[0] * v[1] - u[1] * v[0] > 0
-
-
 class LatticePolygon:
     """Strictly convex lattice polygon, vertices counterclockwise."""
 

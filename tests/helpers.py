@@ -3,10 +3,11 @@ machinery, the Smith form built from the invariant factors, a lattice
 frame map written apart from the library's, the certificate rows as
 they were first written (the signature from the full ``hsnf``, the rank
 test over every pair), the minor gcd over every row and column
-selection, and the width reduction as it was first written
+selection, the width reduction as it was first written
 (a search over the whole interval each step, a scan of twelve candidates
-in the tie-break), the intermediate lattices with both ends reduced, and
-polygon validation in three passes."""
+in the tie-break), the intermediate lattices with both ends reduced,
+polygon validation in three passes, and the affine normal form of a
+polygon."""
 
 import random
 from collections.abc import Sequence
@@ -14,10 +15,11 @@ from itertools import combinations
 from math import gcd
 
 from severi_lattice.certificates import a_delta
+from severi_lattice.corpus import _angle_less
 from severi_lattice.errors import DomainError, InvariantViolation
 from severi_lattice.intmat import IntMat, _det_rows, hsnf, invariant_factors
 from severi_lattice.lattices import _canonical, _canonical_basis, divisors
-from severi_lattice.polygons import COORD_BOUND, LatticePolygon, _angle_less
+from severi_lattice.polygons import COORD_BOUND, LatticePolygon
 
 Point = tuple[int, int]
 
@@ -323,3 +325,38 @@ def reference_validate(points):
         for i in range(m)
     )
     return tuple(pts), twice_area
+
+
+def _row_hermite(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """Row Hermite form of a 2 x m integer matrix of rank 2 under GL_2(Z)
+    on the left: each row's first nonzero entry is positive, the second
+    row's lies right of the first's, and the entry above it is reduced
+    modulo it."""
+    a, b = rows
+    c = next(j for j in range(len(a)) if a[j] or b[j])
+    while b[c]:  # Euclid on column c, by row operations
+        q = a[c] // b[c]
+        a, b = b, [s - q * t for s, t in zip(a, b)]
+    if a[c] < 0:
+        a = [-s for s in a]
+    c = next(j for j in range(c + 1, len(b)) if b[j])
+    if b[c] < 0:
+        b = [-t for t in b]
+    q = a[c] // b[c]
+    return tuple(s - q * t for s, t in zip(a, b)), tuple(b)
+
+
+def affine_normal_form(verts: Sequence[Point]) -> tuple:
+    """Affine normal form of a lattice polygon (Grinis and Kasprzyk, 2013):
+    two polygons are equal up to GL_2(Z) and translation exactly when their
+    forms are.  For each start vertex and orientation, the 2 x (n - 1)
+    matrix of the differences from the start to the other vertices, in
+    cyclic order, is put in row Hermite form; the form is the least."""
+    n = len(verts)
+    forms = []
+    for order in (list(verts), list(verts)[::-1]):
+        for s in range(n):
+            x0, y0 = order[s]
+            others = [order[(s + k) % n] for k in range(1, n)]
+            forms.append(_row_hermite([[x - x0 for x, _ in others], [y - y0 for _, y in others]]))
+    return min(forms)

@@ -22,7 +22,10 @@ from severi_lattice.corpus import (
     random_polygon,
 )
 from severi_lattice.errors import DomainError
+from severi_lattice.lattices import Z2
 from severi_lattice.polygons import LatticePolygon
+
+from helpers import affine_normal_form
 
 
 def canonical(verts):
@@ -100,7 +103,7 @@ class TestEnumeration:
             assert limited.size == min(limit, CLASS_COUNTS[bound])
 
     def test_classes_in_sorted_vertex_order(self):
-        # the integer keys must sort as the vertex tuples do, a shorter
+        # the bytes keys must sort as the vertex tuples do, a shorter
         # tuple before a longer one it is a prefix of
         for bound in (3, 4):
             classes = list(_edge_classes(bound))
@@ -153,12 +156,13 @@ class TestEnumeration:
                         assert [dirs[j] for j in got] == expected, (px, nx, py, ny)
 
     def test_vertex_bytes_hold_the_exhaustive_bound(self):
-        # a key holds vertex (x, y) as the byte (x + 1) * 16 + y + 1, so
-        # x + 1 and y + 1 must each fit in four bits
-        assert MAX_EXHAUSTIVE_COORD + 1 < 16
+        # the walk holds vertex (x, y), -bound <= x <= bound, 0 <= y <=
+        # bound, as the byte (x + bound + 1) * 16 + y + 1
+        bound = MAX_EXHAUSTIVE_COORD
+        assert (2 * bound + 1) * 16 + bound + 1 <= 255
 
     def test_edge_classes_memory_peak(self):
-        # the keys and the direction index at max-coord 5 peak at 8.7 MiB
+        # the keys and the direction index at max-coord 5 peak at 9.32 MiB
         # (Python 3.11); a larger key or index fails here
         tracemalloc.start()
         try:
@@ -167,6 +171,21 @@ class TestEnumeration:
         finally:
             tracemalloc.stop()
         assert peak <= 12 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+class TestReflexivePolygons:
+    def test_one_interior_point_gives_the_sixteen_reflexive_polygons(self):
+        # a lattice polygon with one interior point is, up to GL_2(Z) and
+        # translation, one of the 16 reflexive polygons, and each of them
+        # has a copy in the box of max-coord 4; the walk, Pick's count and
+        # the normal form must all hold for the corpus to give all 16
+        forms = {}
+        for poly in iter_corpus(CorpusSpec(max_coordinate=4)):
+            if poly.interior_count_in(Z2) == 1:
+                forms[affine_normal_form(poly.vertices)] = len(poly.vertices)
+        assert len(forms) == 16
+        by_vertices = [sum(1 for n in forms.values() if n == k) for k in (3, 4, 5, 6)]
+        assert by_vertices == [5, 7, 3, 1]
 
 
 class TestTrustedPolygons:
