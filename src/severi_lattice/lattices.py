@@ -17,11 +17,15 @@ basepoint, a quarter turn and each lattice strictly between ``l0`` and
 Z^2 (``l0 + (idx/d) Z^2``) are one ``_canonical_basis`` reduction of a
 few generators (none for Z^2, its own quarter turn and only superlattice),
 the two ends are ``l0`` and Z^2 themselves, the index in Z^2 is ``d1 *
-d2``, and ``Z^2 / l0`` is cyclic iff ``gcd(d1, e, d2) == 1``.  Input is
-validated where it enters (the constructor, ``from_generators``,
-``contains``, ``affine_span``); values the package computes are canonical
-by construction and go through the trusted forms (``_canonical``,
-``_through``, ``_has``, ``_span``), which skip both checks.
+d2``, and ``Z^2 / l0`` is cyclic iff ``gcd(d1, e, d2) == 1``.  A
+reduction stops once the generators read span Z^2, which has no proper
+superlattice (the span of the square at the coordinate bound reads 20,001
+of its 79,999 boundary differences), so ``from_generators`` checks every
+generator before it reduces.  Input is validated where it enters (the
+constructor, ``from_generators``, ``contains``, ``affine_span``); values
+the package computes are canonical by construction and go through the
+trusted forms (``_canonical``, ``_through``, ``_has``, ``_span``), which
+skip both checks.
 At index one ``_canonical`` returns the ``Z2`` object itself, so the
 lattices the library computes for the common case (``[Z^2 : N0] = 1`` for
 96.4 % of a seeded sample of corpus max-coord 4) cost no allocation, and
@@ -58,9 +62,13 @@ def _check_point(p: Sequence[int]) -> Point:
 def _canonical_basis(gens: Iterable[Point]) -> tuple[int, int, int]:
     """Reduce a generator list to the canonical triangle ``(d1, e, d2)``.
 
-    Raises DomainError unless the generators span rank two.
+    ``d1`` is the running gcd of the x-residues and ``w`` the generator of
+    the y-gcd.  Z^2 has no proper superlattice, so once the generators read
+    so far span it (``d1 == 1`` and ``|w_y| == 1``) the rest are not read:
+    a caller passing outside input validates all of it first.  Raises
+    DomainError unless the generators span rank two.
     """
-    xs: list[int] = []
+    d1 = 0
     w: Point | None = None
     for g in gens:
         gx, gy = g
@@ -74,18 +82,14 @@ def _canonical_basis(gens: Iterable[Point]) -> tuple[int, int, int]:
             w = (gx, gy)
             gx, gy = wx, wy
         else:
-            if gx:
-                xs.append(gx)
-    if w is None:
+            d1 = gcd(d1, gx)
+        if d1 == 1 and w is not None and w[1] in (1, -1):
+            return (1, 0, 1)
+    if w is None or d1 == 0:
         raise DomainError("generators span rank < 2 (no independent directions)")
     wx, wy = w
     if wy < 0:
         wx, wy = -wx, -wy
-    d1 = 0
-    for x in xs:
-        d1 = gcd(d1, x)
-    if d1 == 0:
-        raise DomainError("generators span rank < 2 (no independent directions)")
     return (d1, wx % d1, wy)
 
 
@@ -130,8 +134,9 @@ class AffineLattice2(Record):
     def from_generators(
         cls, basepoint: Sequence[int], gens: Iterable[Sequence[int]]
     ) -> "AffineLattice2":
-        """Lattice ``basepoint + span(gens)``, canonicalized."""
-        d1, e, d2 = _canonical_basis(_check_point(g) for g in gens)
+        """Lattice ``basepoint + span(gens)``, canonicalized.  Every generator
+        is checked before the reduction, which stops once they span Z^2."""
+        d1, e, d2 = _canonical_basis([_check_point(g) for g in gens])
         return _canonical(_check_point(basepoint), d1, e, d2)
 
     @classmethod
@@ -170,10 +175,8 @@ class AffineLattice2(Record):
         return _canonical(point, d1, e, d2)
 
     def to_json_dict(self) -> dict:
-        return {
-            "basepoint": list(self.basepoint),
-            "basis": [list(self.basis[0]), list(self.basis[1])],
-        }
+        (x, y), ((d1, e), (z, d2)) = self.basepoint, self.basis
+        return {"basepoint": [x, y], "basis": [[d1, e], [z, d2]]}
 
     def __str__(self) -> str:
         (d1, e), (_, d2) = self.basis

@@ -61,13 +61,10 @@ class Facet(Record):
         return (self.start[0] + self.vector[0], self.start[1] + self.vector[1])
 
     def to_json_dict(self) -> dict:
+        (x, y), (vx, vy), (nx, ny) = self.start, self.vector, self.normal
         return {
-            "index": self.index,
-            "start": list(self.start),
-            "end": list(self.end),
-            "vector": list(self.vector),
-            "length": self.length,
-            "normal": list(self.normal),
+            "index": self.index, "start": [x, y], "end": [x + vx, y + vy],
+            "vector": [vx, vy], "length": self.length, "normal": [nx, ny],
         }
 
 
@@ -121,19 +118,21 @@ class LatticePolygon:
 
     def facets(self) -> tuple[Facet, ...]:
         """Facets in boundary order with integral lengths and inner normals."""
-        if "facets" not in self._cache:
+        facets = self._cache.get("facets")
+        if facets is None:
             vs = self._vertices
             n = len(vs)
             out = []
             for j in range(n):
                 a, b = vs[j], vs[(j + 1) % n]
                 vx, vy = b[0] - a[0], b[1] - a[1]
-                length = gcd(abs(vx), abs(vy))
+                length = gcd(vx, vy)
+                facet = object.__new__(Facet)  # trusted: the polygon's own pairs
                 # CCW orientation puts the interior to the left of each edge
-                normal = (-vy // length, vx // length)
-                out.append(Facet(j, a, (vx, vy), length, normal))
-            self._cache["facets"] = tuple(out)
-        return self._cache["facets"]
+                facet._fill(j, a, (vx, vy), length, (-vy // length, vx // length))
+                out.append(facet)
+            facets = self._cache["facets"] = tuple(out)
+        return facets
 
     def boundary_points(self) -> tuple[Point, ...]:
         """All lattice points on the boundary, counterclockwise from the

@@ -91,7 +91,9 @@ def build_profile(polygon: LatticePolygon) -> BoundaryProfile:
     linear = m0.linear_part()
     n0 = rotate90(linear)
     m0_facts = polygon.classify_interior_empty(m0), *polygon.lattice_width(linear)
-    return BoundaryProfile(polygon, facets, m0, n0, n0.index_in_z2, *m0_facts)
+    profile = object.__new__(BoundaryProfile)  # trusted: fields computed here
+    profile._fill(polygon, facets, m0, n0, n0.index_in_z2, *m0_facts)
+    return profile
 
 
 class ComponentDescriptor(Record):
@@ -158,12 +160,12 @@ def _descriptors(profile: BoundaryProfile) -> list[ComponentDescriptor]:
     for n_lat in intermediate_lattices(profile.n0):
         d = profile.idx // n_lat.index_in_z2
         m_lat = m0 if d == 1 else rotate90(n_lat)._through(m0.basepoint)
-        out.append(
-            ComponentDescriptor(
-                n_lat, m_lat, d, polygon.interior_count_in(m_lat),
-                d == 1 and width_one, d == 1 and twice_primitive,
-            )
+        c = object.__new__(ComponentDescriptor)
+        c._fill(
+            n_lat, m_lat, d, polygon.interior_count_in(m_lat),
+            d == 1 and width_one, d == 1 and twice_primitive,
         )
+        out.append(c)
     return out
 
 
@@ -188,13 +190,19 @@ class SeveriReport(Record):
 
     def to_json_dict(self) -> dict:
         profile = self.profile
-        boundary = profile.l
+        boundary, count, facets, components = 0, 0, [], []
+        for f in profile.facets:
+            boundary += f.length
+            facets.append(f.to_json_dict())
+        for c in self.components:
+            components.append(c.to_json_dict())
+            count += components[-1]["contributes"]
         return {
             "polygon": {"vertices": [list(v) for v in profile.polygon.vertices]},
             "l": boundary,
             # l + g - 1 at genus g = 1
             "severi_dimension": boundary,
-            "facets": [f.to_json_dict() for f in profile.facets],
+            "facets": facets,
             "idx": profile.idx,
             "divisors": [c.d for c in self.components],
             "m0": profile.m0.to_json_dict(),
@@ -204,8 +212,8 @@ class SeveriReport(Record):
                 "direction": list(profile.direction),
             },
             "interior_classification_m0": profile.classification.value,
-            "components": [c.to_json_dict() for c in self.components],
-            "component_count": self.component_count,
+            "components": components,
+            "component_count": count,
         }
 
 
@@ -219,7 +227,8 @@ def analyze(polygon: LatticePolygon) -> SeveriReport:
     from the points.
     """
     profile = build_profile(polygon)
-    report = SeveriReport(profile, tuple(_descriptors(profile)))
+    report = object.__new__(SeveriReport)
+    report._fill(profile, tuple(_descriptors(profile)))
     count = report.component_count
     formula = _formula_count(profile)
     if count != formula:

@@ -1,16 +1,19 @@
 """``analyze`` at the documented coordinate bound |c| <= 10^4.
 
 Each polygon must finish within BUDGET_S seconds.  The only work left
-that grows with the number l of boundary points is the oracle's span of
-all of them.  l is at most 8 * 10^4, reached by the square [-R, R]^2: a
-facet of vector (vx, vy) holds at most |vx| + |vy| of them, and the
-facets of a convex polygon sum to twice its x- and y-extents, so l <= 2 *
-(x-extent + y-extent).  The profile is O(facets), interior counts come
-from Pick's theorem and the width from Gauss reduction, so nothing grows
-with the area (up to 4 * 10^8).  The budget leaves room
-for hosts that run two or more times slower than a quiet one, where each
-polygon takes under 0.1 s.  Validating an input with 2 * 10^4 points on
-one edge is a single pass over the points, with a budget of 0.5 s.
+that grows with the number l of boundary points is the oracle's:
+``boundary_points`` lists all of them, and at index > 1 its span reads
+all of them too.  At index one the span stops once the points read span
+Z^2, which on the square takes its first facet and one point more.  l is
+at most 8 * 10^4, reached by the square [-R, R]^2: a facet of vector
+(vx, vy) holds at most |vx| + |vy| of them, and the facets of a convex
+polygon sum to twice its x- and y-extents, so l <= 2 * (x-extent +
+y-extent).  The profile is O(facets), interior counts come from Pick's
+theorem and the width from Gauss reduction, so nothing grows with the
+area (up to 4 * 10^8).  The slowest polygon here takes at most about
+0.03 s on a quiet host, so the budget leaves room for hosts many times
+slower.  Validating an input with 2 * 10^4 points on one edge is a
+single pass over the points, with a budget of 0.5 s.
 
 ``snf``, ``hsnf`` and ``hsnf_left`` on the seeded 16 x 16, |entry| <= 1000
 matrix at the corner of the normal-form input box each take about 0.01 s
@@ -31,6 +34,7 @@ from math import gcd
 
 import pytest
 
+import severi_lattice.lattices
 from severi_lattice.certificates import a_delta, component_signature, width_one_by_rank
 from severi_lattice.intmat import (
     IntMat,
@@ -40,12 +44,13 @@ from severi_lattice.intmat import (
     minor_gcd,
     snf,
 )
+from severi_lattice.oracles import count_components_oracle
 from severi_lattice.polygons import COORD_BOUND, InteriorClassification, LatticePolygon
 from severi_lattice.severi import analyze, build_profile
 
 from helpers import corner_matrix_rows
 
-BUDGET_S = 10.0
+BUDGET_S = 1.0
 NORMAL_FORM_BUDGET_S = 0.5
 NORMAL_MATRIX_BUDGET_S = 0.5
 R = COORD_BOUND
@@ -91,6 +96,29 @@ def test_square_has_the_longest_boundary():
     assert (2 * R - 1) ** 2 == 399_960_001
     assert (report.profile.width, report.profile.direction) == (2 * R, (0, 1))
     assert report.component_count == 1
+
+
+def test_oracle_span_of_the_square_stops_at_z2(monkeypatch):
+    # the first facet's 2R differences, its end vertex included, have no
+    # y-step; the next point completes Z^2, and the other 59,998 are not read
+    read = []
+    reduce = severi_lattice.lattices._canonical_basis
+
+    def counting_reduce(gens):
+        read.append(0)
+
+        def counted():
+            for g in gens:
+                read[-1] += 1
+                yield g
+
+        return reduce(counted())
+
+    monkeypatch.setattr(severi_lattice.lattices, "_canonical_basis", counting_reduce)
+    square = LatticePolygon([(-R, -R), (R, -R), (R, R), (-R, R)])
+    assert len(square.boundary_points()) - 1 == 79_999
+    assert count_components_oracle(square) == 1
+    assert read == [2 * R + 1] == [20_001]
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,9 @@
 (d1, 0) and (e, d2) of its basis [[d1, e], [0, d2]], read here as
 ``zip(*lat.basis)``."""
 
+import random
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from severi_lattice.intmat import IntMat, snf
 from severi_lattice.lattices import (
     AffineLattice2,
     Z2,
+    _canonical_basis,
     affine_span,
     divisors,
     intermediate_lattices,
@@ -465,6 +469,68 @@ class TestClosedForms:
                 affine_span([(0, 0), bad])
             with pytest.raises(DomainError):
                 AffineLattice2.from_generators(bad, [(1, 0), (0, 1)])
+
+
+def reference_canonical_basis(gens):
+    """The reduction as it was before it stopped at Z^2: every generator is
+    read, the x-residues kept in a list and their gcd taken at the end."""
+    xs, w = [], None
+    for gx, gy in gens:
+        while gy:
+            if w is None:
+                w = (gx, gy)
+                break
+            q = w[1] // gy
+            w, (gx, gy) = (gx, gy), (w[0] - q * gx, w[1] - q * gy)
+        else:
+            if gx:
+                xs.append(gx)
+    d1 = 0
+    for x in xs:
+        d1 = gcd(d1, x)
+    if w is None or d1 == 0:
+        raise DomainError("generators span rank < 2 (no independent directions)")
+    wx, wy = w if w[1] > 0 else (-w[0], -w[1])
+    return (d1, wx % d1, wy)
+
+
+class TestReductionStopsAtZ2:
+    """Z^2 has no proper superlattice, so the reduction reads no generator
+    after the ones that span it; outside input is checked in full first."""
+
+    def test_no_generator_is_read_after_z2(self):
+        def gens():
+            yield (1, 0)
+            yield (0, 1)
+            raise AssertionError("read a generator after the span reached Z^2")
+
+        assert _canonical_basis(gens()) == (1, 0, 1)
+
+    def test_outside_generators_are_all_checked(self):
+        with pytest.raises(DomainError):
+            AffineLattice2.from_generators((0, 0), [(1, 0), (0, 1), ("a", 1)])
+
+    def test_agrees_with_the_full_reduction(self):
+        rng = random.Random(29)
+        seen = set()
+        for _ in range(20_000):
+            scale = rng.choice((1, 1, 2, 3))  # scaled lists have index > 1
+            # y is 0 in half the generators, so some lists have rank one
+            gens = [
+                (scale * rng.randint(-9, 9), scale * rng.choice((0, rng.randint(-9, 9))))
+                for _ in range(rng.randint(2, 8))
+            ]
+            try:
+                want = reference_canonical_basis(gens)
+            except DomainError as exc:
+                with pytest.raises(DomainError) as got:
+                    _canonical_basis(gens)
+                assert str(got.value) == str(exc)
+                seen.add("rank one")
+                continue
+            assert _canonical_basis(gens) == want, gens
+            seen.add("index one" if want == (1, 0, 1) else "index > 1")
+        assert seen == {"rank one", "index one", "index > 1"}
 
 
 def test_divisors():

@@ -129,6 +129,20 @@ def test_pickle_and_copy_round_trips(pair):
         assert type(clone) is type(a) and clone == b and hash(clone) == hash(b)
 
 
+@pytest.mark.parametrize(
+    "vertices",
+    [[(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 0), (2, 0), (0, 2)], _polygon().vertices],
+)
+def test_filled_records_equal_constructed_ones(vertices):
+    # analyze fills its records on object.__new__ instances; the constructor
+    # given the same fields builds an equal record with the same hash
+    report = analyze(LatticePolygon(vertices))
+    profile = report.profile
+    for record in (report, profile, *profile.facets, *report.components):
+        built = type(record)(*[getattr(record, name) for name in record.__slots__])
+        assert built == record and hash(built) == hash(record)
+
+
 def test_repr_is_the_dataclass_format():
     assert repr(Z2) == "AffineLattice2(basepoint=(0, 0), basis=((1, 0), (0, 1)))"
     assert repr(CorpusSpec(2)) == (

@@ -10,6 +10,7 @@ import severi_lattice.lattices
 import severi_lattice.oracles
 import severi_lattice.polygons
 import severi_lattice.severi
+from severi_lattice._record import Record
 from severi_lattice.certificates import a_delta, component_signature, width_one_by_rank
 from severi_lattice.corpus import CorpusSpec, iter_corpus, random_polygon
 from severi_lattice.errors import DomainError, InvariantViolation
@@ -480,6 +481,23 @@ class TestSinglePass:
             calls.clear()
             assert analyze(LatticePolygon(poly.vertices)).profile.idx == 1
             assert calls == {"reduce": 2}
+
+    def test_no_validating_constructor(
+        self, monkeypatch, unit_square, triangle_d3, diamond2
+    ):
+        # facets, profile, descriptors and report are filled on object.__new__
+        # instances; the library's own lattices go through _canonical
+        calls = Counter()
+        init = Record.__init__
+
+        def counting_init(record, *fields, **named):
+            calls[type(record).__name__] += 1
+            init(record, *fields, **named)
+
+        monkeypatch.setattr(Record, "__init__", counting_init)
+        for poly in (unit_square, triangle_d3, diamond2):
+            analyze(LatticePolygon(poly.vertices))
+        assert calls == {}
 
     def test_one_hash_per_lattice_cache_read(
         self, monkeypatch, unit_square, triangle_d3, diamond2
