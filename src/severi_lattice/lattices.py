@@ -19,10 +19,11 @@ few generators (none for Z^2, its own quarter turn and only superlattice),
 the two ends are ``l0`` and Z^2 themselves, the index in Z^2 is ``d1 *
 d2``, and ``Z^2 / l0`` is cyclic iff ``gcd(d1, e, d2) == 1``.  A
 reduction stops once the generators read span Z^2, which has no proper
-superlattice (the span of the square at the coordinate bound reads 20,001
-of its 79,999 boundary differences), so ``from_generators`` checks every
-generator before it reduces.  Input is validated where it enters (the
-constructor, ``from_generators``, ``contains``, ``affine_span``); values
+superlattice (the oracle's span of the square at the coordinate bound,
+over each facet's start and the next point along it, reads 3 of its 7
+differences), so ``from_generators`` checks every generator before it
+reduces.  Input is validated where it enters (the constructor,
+``from_generators``, ``contains``, ``affine_span``); values
 the package computes are canonical by construction and go through the
 trusted forms (``_canonical``, ``_through``, ``_has``, ``_span``), which
 skip both checks.

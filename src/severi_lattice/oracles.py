@@ -4,8 +4,10 @@ Each function here recomputes a production result by a route that shares
 no formula with it: the component count tests the two lattice conditions
 on every intermediate lattice, and the lattice width scans a box of
 directions.  ``analyze`` runs ``count_components_oracle`` as its
-cross-check; the verify battery and the tests run all of them.  Nothing
-here calls Pick's theorem, the area, the Gauss reduction or the
+cross-check; its boundary lattice is spanned by two points per facet, so
+none of its work grows with the boundary length.  The verify battery and
+the tests run all of them, and verify also spans all l boundary points.
+Nothing here calls Pick's theorem, the area, the Gauss reduction or the
 production profile, and ``tests/test_layering.py`` checks that.
 """
 
@@ -15,7 +17,7 @@ from collections.abc import Sequence
 from math import gcd
 
 from .errors import DomainError
-from .lattices import AffineLattice2, _span, intermediate_lattices
+from .lattices import Z2, AffineLattice2, _span, intermediate_lattices
 from .polygons import Facet, LatticePolygon
 
 __all__ = ["count_components_oracle", "brute_force_width"]
@@ -29,12 +31,19 @@ def count_components_oracle(polygon: LatticePolygon) -> int:
     Enumerates the intermediate affine lattices through the boundary
     basepoint and keeps those containing every boundary lattice point
     (``_holds_boundary``, O(facets) per lattice) and at least one interior
-    point, found by ``_meets_interior``'s row walk (no Pick, no area, no
-    point list).  Its boundary lattice is the literal affine span of all
-    boundary points, not the production profile.
+    point, found by ``_meets_interior``'s walk over rows or columns (no
+    Pick, no area, no point list).  Its boundary lattice is the affine
+    span of each facet's start and the next lattice point along it, not
+    the production profile: every boundary point is a facet start plus a
+    multiple of that step, so these 2 * facets points span what all l
+    boundary points span, and no work grows with l.
     """
-    m0 = _span(polygon.boundary_points())  # the polygon's own points
     facets = polygon.facets()
+    witnesses = []
+    for f in facets:
+        (x, y), (vx, vy), k = f.start, f.vector, f.length
+        witnesses += (f.start, (x + vx // k, y + vy // k))
+    m0 = _span(witnesses)  # the polygon's own points
     count = 0
     for linear in intermediate_lattices(m0.linear_part()):
         m_lat = linear._through(m0.basepoint)
@@ -52,24 +61,34 @@ def _holds_boundary(lattice: AffineLattice2, facets: Sequence[Facet]) -> bool:
     u = vector // length primitive.  A coset holds them all iff it holds
     start and start + u, since their difference u then lies in its linear
     part; each facet's end is the next facet's start.  So two membership
-    tests per facet decide what a test of all l boundary points decides.
+    tests per facet, read against the basis once, decide what a test of
+    all l boundary points decides; ``Z2`` holds every integer point.
     """
+    if lattice is Z2:
+        return True
+    (d1, e), (_, d2) = lattice.basis
+    bx, by = lattice.basepoint
     for f in facets:
-        (x, y), (vx, vy) = f.start, f.vector
-        step = (x + vx // f.length, y + vy // f.length)
-        if not (lattice._has(f.start) and lattice._has(step)):
-            return False
+        (x, y), (vx, vy), k = f.start, f.vector, f.length
+        for px, py in ((x, y), (x + vx // k, y + vy // k)):
+            dy = py - by
+            if dy % d2 or (px - bx - dy // d2 * e) % d1:
+                return False
     return True
 
 
 def _meets_interior(polygon: LatticePolygon, lattice: AffineLattice2) -> bool:
     """Whether some point of ``lattice`` lies strictly inside ``polygon``.
 
-    Walks the rows y = basepoint_y (mod d2) strictly between the lowest and
-    the highest vertex.  On each row the facet half-planes n.p > n.start
-    cut out an integer x-interval, and one modular step decides whether the
-    row's coset x = r (mod d1) meets it.  O(height / d2 * facets) time and
-    O(facets) memory; it uses neither Pick's theorem nor the area.
+    Walks the coset's lines across the polygon the shorter way: its rows
+    y = by (mod d2), on which it is x = bx + (y - by) / d2 * e (mod d1), or
+    its columns x = bx (mod g) with g = gcd(d1, e), on which it is y = by +
+    d2 * b (mod d2 * d1 / g) for the b with b * e = x - bx (mod d1).  On
+    each line strictly between the extreme vertices the facet half-planes
+    n.p > n.start cut out an integer interval, and one modular step decides
+    whether the line's coset meets it.  O(min(height / d2, width / g) *
+    facets) time and O(facets) memory; it uses neither Pick's theorem nor
+    the area.
     """
     (d1, e), (_, d2) = lattice.basis
     bx, by = lattice.basepoint
@@ -79,13 +98,29 @@ def _meets_interior(polygon: LatticePolygon, lattice: AffineLattice2) -> bool:
     ]
     xs = [v[0] for v in polygon.vertices]
     ys = [v[1] for v in polygon.vertices]
-    xmin, xmax, ymax = min(xs), max(xs), max(ys)
-    y = min(ys) + 1
-    y += (by - y) % d2
-    while y < ymax:
-        lo, hi = xmin, xmax
+    xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
+    g = gcd(d1, e)
+    if (xmax - xmin) * d2 < (ymax - ymin) * g:
+        # the next column's b is the last one's plus the inverse of e/g
+        step = d2 * pow(e // g, -1, d1 // g)
+        swapped = [(b, a, h) for a, b, h in halfplanes]
+        return _walk(swapped, (xmin, xmax, bx, g), (ymin, ymax, by, step, d2 * d1 // g))
+    return _walk(halfplanes, (ymin, ymax, by, d2), (xmin, xmax, bx, e, d1))
+
+
+def _walk(halfplanes, across, along) -> bool:
+    """Whether a half-plane intersection a * v + b * u > h holds a point of
+    the lines u = u0 (mod du) strictly between u_lo and u_hi, the line u
+    holding v = v0 + (u - u0) / du * dv (mod period), in v_lo..v_hi."""
+    u_lo, u_hi, u0, du = across
+    v_lo, v_hi, v0, dv, period = along
+    u = u_lo + 1
+    u += (u0 - u) % du
+    r = v0 + (u - u0) // du * dv
+    while u < u_hi:
+        lo, hi = v_lo, v_hi
         for a, b, h in halfplanes:
-            c = h - b * y  # on this row the half-plane reads a * x > c
+            c = h - b * u  # on this line the half-plane reads a * v > c
             if a > 0:
                 lo = max(lo, c // a + 1)
             elif a < 0:
@@ -93,10 +128,10 @@ def _meets_interior(polygon: LatticePolygon, lattice: AffineLattice2) -> bool:
             elif c >= 0:
                 break
         else:
-            r = (bx + (y - by) // d2 * e) % d1
-            if lo + (r - lo) % d1 <= hi:
+            if lo + (r - lo) % period <= hi:
                 return True
-        y += d2
+        u += du
+        r += dv
     return False
 
 

@@ -8,8 +8,9 @@ divisor d of its index.  The number of irreducible components is the
 number of contributing descriptors: the intermediate affine lattices whose
 interior point count is positive.
 
-Production path: each entry point builds one profile, O(vertices) plus
-one Gauss reduction of M0's width, and reads the rest from it; the
+Production path: each entry point builds one profile, O(vertices), and
+reads the rest from it (M0's width, one Gauss reduction, only where it is
+read: by the report, or by the classification of an empty interior); the
 lattices come from closed forms on their canonical triangles, O(1) each,
 built by the trusted forms of ``lattices`` from values the polygon already
 checked; interior counts come from Pick's theorem, O(vertices), once per
@@ -52,33 +53,45 @@ class BoundaryProfile(Record):
     Held at the level of facets: ``m0`` is the affine span of the boundary
     points, ``n0`` the linear span of the primitive inner normals; the two
     are exchanged by a quarter turn, and ``idx == [Z^2 : n0]``.  M0's
-    interior ``classification`` and lattice ``width``, with a ``direction``
-    in M0's basis frame that attains it, ride with them.  The per-point
-    normal matrix (``certificates.a_delta``) is built where it is read.
+    interior ``classification`` rides with them; its lattice ``width``,
+    with a ``direction`` in M0's basis frame that attains it, is read from
+    the polygon's cached width reduction.  The per-point normal matrix
+    (``certificates.a_delta``) is built where it is read.
     """
 
-    __slots__ = (
-        "polygon", "facets", "m0", "n0", "idx", "classification", "width", "direction",
-    )
+    __slots__ = ("polygon", "facets", "m0", "n0", "idx", "classification")
 
     @property
     def l(self) -> int:
         return sum(f.length for f in self.facets)
 
+    @property
+    def width(self) -> int:
+        return self._width_pair()[0]
+
+    @property
+    def direction(self) -> tuple[int, int]:
+        return self._width_pair()[1]
+
+    def _width_pair(self) -> tuple[int, tuple[int, int]]:
+        """M0's ``(width, direction)``, reduced once per polygon."""
+        return self.polygon.lattice_width(self.m0.linear_part())
+
 
 def build_profile(polygon: LatticePolygon) -> BoundaryProfile:
     """Assemble the boundary profile and check that the normals close up.
 
-    O(vertices) plus one width reduction, from facet data alone: ``m0`` is
-    the first vertex plus the span of the primitive edge vectors (every
-    boundary point is a vertex plus multiples of them, and each is a
-    difference of two boundary points); the normals close up when ``sum l_j
-    n_j == 0``; and ``n0`` is the quarter turn of ``m0``'s linear part,
-    since each primitive inner normal is the quarter turn of its primitive
-    edge vector.  M0 is classified and its width reduced once; an empty
-    interior's classification reads the same cached width.  The verify
-    battery checks ``n0`` against the span of the normals, and the
-    invariant factors (1, idx) of the 2 x l normal matrix.
+    O(vertices), from facet data alone: ``m0`` is the first vertex plus
+    the span of the primitive edge vectors (every boundary point is a
+    vertex plus multiples of them, and each is a difference of two
+    boundary points); the normals close up when ``sum l_j n_j == 0``; and
+    ``n0`` is the quarter turn of ``m0``'s linear part, since each
+    primitive inner normal is the quarter turn of its primitive edge
+    vector.  M0 is classified once; only an empty interior's
+    classification reduces M0's width, which the profile's ``width`` then
+    reads from the polygon's cache.  The verify battery checks ``n0``
+    against the span of the normals, and the invariant factors (1, idx)
+    of the 2 x l normal matrix.
     """
     facets = polygon.facets()
     if sum(f.length * f.normal[0] for f in facets) or sum(
@@ -88,11 +101,10 @@ def build_profile(polygon: LatticePolygon) -> BoundaryProfile:
     # the polygon's own integer pairs: no check
     gens = [(f.vector[0] // f.length, f.vector[1] // f.length) for f in facets]
     m0 = _canonical(polygon.vertices[0], *_canonical_basis(gens))
-    linear = m0.linear_part()
-    n0 = rotate90(linear)
-    m0_facts = polygon.classify_interior_empty(m0), *polygon.lattice_width(linear)
+    n0 = rotate90(m0.linear_part())
+    cls = polygon.classify_interior_empty(m0)
     profile = object.__new__(BoundaryProfile)  # trusted: fields computed here
-    profile._fill(polygon, facets, m0, n0, n0.index_in_z2, *m0_facts)
+    profile._fill(polygon, facets, m0, n0, n0.index_in_z2, cls)
     return profile
 
 
@@ -190,6 +202,7 @@ class SeveriReport(Record):
 
     def to_json_dict(self) -> dict:
         profile = self.profile
+        width, direction = profile._width_pair()
         boundary, count, facets, components = 0, 0, [], []
         for f in profile.facets:
             boundary += f.length
@@ -207,10 +220,7 @@ class SeveriReport(Record):
             "divisors": [c.d for c in self.components],
             "m0": profile.m0.to_json_dict(),
             "n0": profile.n0.to_json_dict(),
-            "lattice_width_m0": {
-                "width": profile.width,
-                "direction": list(profile.direction),
-            },
+            "lattice_width_m0": {"width": width, "direction": list(direction)},
             "interior_classification_m0": profile.classification.value,
             "components": components,
             "component_count": count,
@@ -220,11 +230,10 @@ class SeveriReport(Record):
 def analyze(polygon: LatticePolygon) -> SeveriReport:
     """Full report; its count is checked against the formula and the oracle.
 
-    One pass: the boundary profile, which holds M0's classification and
-    width, is built once; the count is the number of contributing
-    descriptors, and must equal the divisor-formula count and the
-    brute-force oracle count.  The oracle builds its own boundary lattice
-    from the points.
+    One pass: the boundary profile, which holds M0's classification, is
+    built once; the count is the number of contributing descriptors, and
+    must equal the divisor-formula count and the brute-force oracle count.  The oracle builds its own boundary lattice
+    from two boundary points per facet.
     """
     profile = build_profile(polygon)
     report = object.__new__(SeveriReport)

@@ -28,7 +28,7 @@ from .certificates import a_delta, component_signature, width_one_by_rank
 from .corpus import CorpusSpec, enumerate_corpus, random_polygon
 from .errors import DomainError, InvariantViolation
 from .intmat import IntMat, invariant_factors, minor_gcd
-from .lattices import Z2, AffineLattice2
+from .lattices import Z2, AffineLattice2, _span
 from .oracles import brute_force_width, count_components_oracle
 from .polygons import InteriorClassification, LatticePolygon
 from .severi import BoundaryProfile
@@ -183,7 +183,11 @@ def _lemma(profile: BoundaryProfile) -> str | None:
 
 
 def _count(profile: BoundaryProfile) -> str | None:
+    # the oracle spans two points per facet; the literal span reads all l
     poly = profile.polygon
+    span = _span(poly.boundary_points())
+    if span != profile.m0:
+        return f"{poly!r}: boundary span {span} vs m0 {profile.m0}"
     formula = severi._formula_count(profile)
     oracle = count_components_oracle(poly)
     return None if formula == oracle else f"{poly!r}: {formula} vs {oracle}"

@@ -1,19 +1,20 @@
 """``analyze`` at the documented coordinate bound |c| <= 10^4.
 
-Each polygon must finish within BUDGET_S seconds.  The only work left
-that grows with the number l of boundary points is the oracle's:
-``boundary_points`` lists all of them, and at index > 1 its span reads
-all of them too.  At index one the span stops once the points read span
-Z^2, which on the square takes its first facet and one point more.  l is
-at most 8 * 10^4, reached by the square [-R, R]^2: a facet of vector
-(vx, vy) holds at most |vx| + |vy| of them, and the facets of a convex
-polygon sum to twice its x- and y-extents, so l <= 2 * (x-extent +
-y-extent).  The profile is O(facets), interior counts come from Pick's
-theorem and the width from Gauss reduction, so nothing grows with the
-area (up to 4 * 10^8).  The slowest polygon here takes at most about
-0.03 s on a quiet host, so the budget leaves room for hosts many times
-slower.  Validating an input with 2 * 10^4 points on one edge is a
-single pass over the points, with a budget of 0.5 s.
+Each polygon must finish within BUDGET_S seconds, and no work on its
+path grows with the number l of boundary points: the profile is
+O(facets), and the oracle spans each facet's start and the next lattice
+point along it, 2 * facets points in place of all l, and lists none of
+them (``test_analyze_lists_no_boundary_points``).  l is at most 8 * 10^4,
+reached by the square [-R, R]^2: a facet of vector (vx, vy) holds at most
+|vx| + |vy| of them, and the facets of a convex polygon sum to twice its
+x- and y-extents, so l <= 2 * (x-extent + y-extent).  Interior counts
+come from Pick's theorem and the width from Gauss reduction, so nothing
+grows with the area (up to 4 * 10^8) either; the oracle's interior
+search walks the lattice's rows or its columns, whichever are fewer.
+The slowest polygon here takes at most about 0.2 ms on a quiet host, so
+the budget leaves room for hosts many times slower.  Validating an input
+with 2 * 10^4 points on one edge is a single pass over the points, with
+a budget of 0.5 s.
 
 ``snf``, ``hsnf`` and ``hsnf_left`` on the seeded 16 x 16, |entry| <= 1000
 matrix at the corner of the normal-form input box each take about 0.01 s
@@ -35,6 +36,7 @@ from math import gcd
 import pytest
 
 import severi_lattice.lattices
+import severi_lattice.oracles
 from severi_lattice.certificates import a_delta, component_signature, width_one_by_rank
 from severi_lattice.intmat import (
     IntMat,
@@ -44,23 +46,35 @@ from severi_lattice.intmat import (
     minor_gcd,
     snf,
 )
+from severi_lattice.corpus import CorpusSpec, iter_corpus
 from severi_lattice.oracles import count_components_oracle
 from severi_lattice.polygons import COORD_BOUND, InteriorClassification, LatticePolygon
 from severi_lattice.severi import analyze, build_profile
 
 from helpers import corner_matrix_rows
 
-BUDGET_S = 1.0
+BUDGET_S = 0.1
 NORMAL_FORM_BUDGET_S = 0.5
 NORMAL_MATRIX_BUDGET_S = 0.5
 R = COORD_BOUND
+
+
+# the polygons analyzed at the bound below, and the turned square
+BOUND_POLYGONS = [
+    [(R, 0), (0, R), (-R, 0), (0, -R)],
+    [(-R, -R), (R, -R), (-R, R)],
+    [(-R, -R), (R, -R), (R, R), (-R, R)],
+    [(-R, 0), (R, 0), (R, 1), (-R, 1)],
+    [(0, -R), (1, -R), (1, R)],
+    [(0, 0), (5000, 5000), (0, 10000), (-5000, 5000)],
+]
 
 
 def _timed_analyze(vertices):
     started = time.perf_counter()
     report = analyze(LatticePolygon(vertices))
     elapsed = time.perf_counter() - started
-    assert elapsed < BUDGET_S, f"analyze took {elapsed:.1f}s, budget {BUDGET_S:.0f}s"
+    assert elapsed < BUDGET_S, f"analyze took {elapsed:.4f}s, budget {BUDGET_S}s"
     return report
 
 
@@ -99,8 +113,9 @@ def test_square_has_the_longest_boundary():
 
 
 def test_oracle_span_of_the_square_stops_at_z2(monkeypatch):
-    # the first facet's 2R differences, its end vertex included, have no
-    # y-step; the next point completes Z^2, and the other 59,998 are not read
+    # the oracle spans each facet's start and the next point along it: from
+    # (-R, -R), the first facet's step (1, 0), its end (2R, 0) and the second
+    # facet's step (2R, 1) span Z^2, so 3 of the 7 differences are read
     read = []
     reduce = severi_lattice.lattices._canonical_basis
 
@@ -116,9 +131,40 @@ def test_oracle_span_of_the_square_stops_at_z2(monkeypatch):
 
     monkeypatch.setattr(severi_lattice.lattices, "_canonical_basis", counting_reduce)
     square = LatticePolygon([(-R, -R), (R, -R), (R, R), (-R, R)])
-    assert len(square.boundary_points()) - 1 == 79_999
     assert count_components_oracle(square) == 1
-    assert read == [2 * R + 1] == [20_001]
+    assert read == [3]
+    assert read[0] <= 2 * len(square.facets())
+
+
+def test_interior_search_walks_the_shorter_way(monkeypatch):
+    # the sliver's 19,999 rows each miss the interior; it is one column
+    # wide, so the walk across x = 0..1 has no line strictly inside
+    walks = []
+    walk = severi_lattice.oracles._walk
+
+    def recording(halfplanes, across, along):
+        walks.append(across)
+        return walk(halfplanes, across, along)
+
+    monkeypatch.setattr(severi_lattice.oracles, "_walk", recording)
+    assert count_components_oracle(LatticePolygon([(0, -R), (1, -R), (1, R)])) == 0
+    assert walks == [(0, 1, 0, 1)]
+
+
+def test_analyze_lists_no_boundary_points(monkeypatch):
+    calls = []
+    listed = LatticePolygon.boundary_points
+
+    def counting(polygon):
+        calls.append(polygon)
+        return listed(polygon)
+
+    monkeypatch.setattr(LatticePolygon, "boundary_points", counting)
+    polygons = [LatticePolygon(v) for v in BOUND_POLYGONS]
+    polygons += iter_corpus(CorpusSpec(max_coordinate=3))
+    for poly in polygons:
+        analyze(poly)
+    assert calls == []
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,8 @@
   replaced (kept here as the reference);
 - the oracle's row walk ``_meets_interior`` against the point scan;
 - the oracle's per-facet boundary test ``_holds_boundary`` against a test
-  of every boundary point;
+  of every boundary point, and its boundary lattice, spanned by two points
+  per facet, against the span of every boundary point;
 - the facet-level boundary profile (``m0`` from the primitive edge
   vectors, invariant factors of the 2 x f normal matrix, ``a_delta`` built
   on demand) against the literal 2 x l versions over all boundary points;
@@ -29,20 +30,23 @@ import builtins
 import random
 import sys
 from math import gcd
+from unittest.mock import patch
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from severi_lattice.certificates import a_delta
 from severi_lattice.corpus import CorpusSpec, convex_hull, iter_corpus
 from severi_lattice.intmat import IntMat, invariant_factors
-from severi_lattice.lattices import AffineLattice2, Z2, affine_span
+from severi_lattice.lattices import AffineLattice2, Z2, _span, affine_span
 from severi_lattice.oracles import (
     _holds_boundary,
     _meets_interior,
     brute_force_width,
     count_components_oracle,
 )
+import severi_lattice.oracles
 import severi_lattice.polygons
 from severi_lattice.polygons import LatticePolygon, _width_of_vertices
 from severi_lattice.severi import (
@@ -508,6 +512,71 @@ class TestOracleBoundaryTest:
         for lat in lattices_in_play(poly) + extra + [shifted]:
             expected = all(lat.contains(p) for p in poly.boundary_points())
             assert _holds_boundary(lat, poly.facets()) == expected
+
+
+class _Spanned(Exception):
+    """Carries the oracle's boundary lattice out of the oracle."""
+
+
+def oracle_boundary_lattice(poly, span=_span):
+    """The M0 that ``count_components_oracle`` spans, caught at its one call
+    of ``oracles._span``, which ``span`` stands in for; the oracle stops
+    there."""
+
+    def capture(points):
+        raise _Spanned(span(points))
+
+    with patch.object(severi_lattice.oracles, "_span", capture):
+        try:
+            count_components_oracle(poly)
+        except _Spanned as spanned:
+            return spanned.args[0]
+    raise AssertionError("the oracle spans no points")
+
+
+class TestOracleSpan:
+    """The oracle's two points per facet span what all l boundary points span."""
+
+    @staticmethod
+    def assert_literal(poly, span=_span):
+        literal = affine_span(poly.boundary_points())
+        assert oracle_boundary_lattice(poly, span) == literal, poly
+
+    def test_corpus4(self, corpus4):
+        for poly in corpus4:
+            self.assert_literal(poly)
+
+    @settings(max_examples=100, deadline=None)
+    @given(polygons())
+    def test_random(self, poly):
+        self.assert_literal(poly)
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [(10**4, 0), (0, 10**4), (-(10**4), 0), (0, -(10**4))],
+            [(0, 0), (5000, 5000), (0, 10000), (-5000, 5000)],
+        ],
+        ids=["diamond", "turned square"],
+    )
+    def test_index_two_at_the_bound(self, vertices):
+        poly = LatticePolygon(vertices)
+        assert build_profile(poly).idx == 2
+        self.assert_literal(poly)
+
+    def test_facet_starts_alone_fall_short(self):
+        # the vertices of this triangle span 2Z^2, its boundary points Z^2;
+        # the oracle passes (start, start + u) per facet, so [::2] is the starts
+        triangle = LatticePolygon([(0, 0), (2, 0), (0, 2)])
+        self.assert_literal(triangle)
+
+        def starts_only(points):
+            return _span(points[::2])
+
+        with pytest.raises(AssertionError):
+            self.assert_literal(triangle, starts_only)
+        twice = AffineLattice2.from_generators((0, 0), [(2, 0), (0, 2)])
+        assert oracle_boundary_lattice(triangle, starts_only) == twice
 
 
 def literal_normal_matrix(poly):

@@ -108,8 +108,7 @@ class TestOnePass:
         def wrong_n0(poly):
             p = build(poly)
             return BoundaryProfile(
-                p.polygon, p.facets, p.m0, Z2, p.idx,
-                p.classification, p.width, p.direction,
+                p.polygon, p.facets, p.m0, Z2, p.idx, p.classification
             )
 
         monkeypatch.setattr(severi, "build_profile", wrong_n0)
@@ -118,6 +117,25 @@ class TestOnePass:
         check = self._check(report, "rotation duality M0 <-> N0")
         # only the polygons whose N0 really is Z^2 still pass
         assert check.passed > 0 and check.failed > 0 and check.first_failure
+
+    def test_wrong_m0_fails_the_count_check(self, monkeypatch):
+        # the oracle builds its own M0 from two points per facet, so a wrong
+        # profile M0 leaves both counts equal; the row also spans all l
+        # boundary points, which a planted Z^2 matches only at index one
+        build = severi.build_profile
+
+        def wrong_m0(poly):
+            p = build(poly)
+            return BoundaryProfile(
+                p.polygon, p.facets, Z2, p.n0, p.idx, p.classification
+            )
+
+        monkeypatch.setattr(severi, "build_profile", wrong_m0)
+        report = run_verification(max_coord=2, trials=0)
+        assert not report.ok
+        check = self._check(report, "count formula vs oracle")
+        assert check.passed > 0 and check.failed > 0
+        assert "boundary span" in check.first_failure
 
     @classmethod
     def _only_failure(cls, report, name):
