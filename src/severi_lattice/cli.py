@@ -9,12 +9,14 @@ reader leaves early (``severi corpus --max-coord 4 | head -1``).
 Each command imports the engine it runs in its handler: ``snf`` and ``hsnf``
 load ``intmat``, ``corpus`` loads ``corpus``, ``verify`` every module, and
 ``analyze``, ``count`` and ``components`` only ``severi`` and its imports.
+``json`` is imported by ``_load_json`` and ``_dump``, the only readers and
+writers of JSON documents, so ``corpus`` (which formats its lines itself)
+and ``verify`` never load it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Sequence
@@ -41,6 +43,7 @@ MATRIX_MAX_ENTRY = 1000
 
 
 def _dump(data, pretty: bool) -> str:
+    import json
     try:
         if pretty:
             return json.dumps(data, indent=2)
@@ -50,6 +53,7 @@ def _dump(data, pretty: bool) -> str:
 
 
 def _load_json(path: str):
+    import json
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)

@@ -11,8 +11,11 @@ x- and y-extents, so l <= 2 * (x-extent + y-extent).  Interior counts
 come from Pick's theorem and the width from Gauss reduction, so nothing
 grows with the area (up to 4 * 10^8) either; the oracle's interior
 search walks the lattice's rows or its columns, whichever are fewer.
-The slowest polygon here takes at most about 0.2 ms on a quiet host, so
-the budget leaves room for hosts many times slower.  Validating an input
+Every polygon here but one takes at most about 0.2 ms on a quiet host.
+The slowest, the 504-divisor triangle, takes about 20 ms (17-36 ms over
+25 fresh processes on a 2-core x86-64 Xeon host, Python 3.11.7), nearly
+all of it the oracle's interior search over its 504 lattices; the budget
+leaves it room for a host about three times slower.  Validating an input
 with 2 * 10^4 points on one edge is a single pass over the points, with
 a budget of 0.5 s.
 
@@ -67,6 +70,7 @@ BOUND_POLYGONS = [
     [(-R, 0), (R, 0), (R, 1), (-R, 1)],
     [(0, -R), (1, -R), (1, R)],
     [(0, 0), (5000, 5000), (0, 10000), (-5000, 5000)],
+    [(9619, 6855), (-5695, 545), (-3738, -1400)],
 ]
 
 
@@ -99,6 +103,17 @@ def test_triangle():
     ]
     assert report.profile.width == 2 * R
     assert report.component_count == 1
+
+
+def test_triangle_with_504_divisors():
+    # four boundary points on three facets whose normals span a sublattice
+    # of index 21,067,200 = 2^6 * 3^2 * 5^2 * 7 * 11 * 19: one lattice per
+    # divisor, each searched for an interior point by the oracle
+    report = _timed_analyze([(9619, 6855), (-5695, 545), (-3738, -1400)])
+    assert (report.profile.l, report.profile.idx) == (4, 21_067_200)
+    assert report.profile.classification is InteriorClassification.WIDTH_ONE
+    assert len(report.components) == 504
+    assert report.component_count == 503
 
 
 def test_square_has_the_longest_boundary():

@@ -64,6 +64,10 @@ class TestCanonicalForm:
             AffineLattice2((0, 0), ((2, 2), (0, 1)))  # e out of range
         with pytest.raises(DomainError):
             AffineLattice2((5, 0), ((2, 0), (0, 1)))  # basepoint not reduced
+        with pytest.raises(DomainError, match="not reduced"):
+            AffineLattice2((0, 2), ((1, 0), (0, 2)))  # by == d2
+        with pytest.raises(DomainError, match="not in canonical form"):
+            AffineLattice2((0, 0), ((1, 0), (0, 0)))  # d2 == 0, whatever the basepoint
 
     @pytest.mark.parametrize(
         "basepoint, basis",

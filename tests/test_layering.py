@@ -8,7 +8,6 @@ says, not what happens to be loaded.
 """
 
 import ast
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -201,10 +200,11 @@ def fresh(code: str) -> str:
 
 def test_the_cli_imports_no_dataclasses_typing_or_pathlib():
     # each of these costs a severi process milliseconds of start-up; each
-    # engine is imported by the command that runs it, not by the CLI
+    # engine is imported by the command that runs it, not by the CLI, and
+    # json by the first read or write of a JSON document
     probe = (
         "import severi_lattice.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing', 'pathlib', 'random', "
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'pathlib', 'random', 'json', "
         "'severi_lattice.intmat', 'severi_lattice.corpus', "
         "'severi_lattice.verify', 'severi_lattice.certificates'} & set(sys.modules)))"
     )
@@ -215,37 +215,43 @@ ANALYZE_PATH = ["_record", "cli", "errors", "lattices", "oracles", "polygons", "
 
 
 @pytest.mark.parametrize(
-    "argv, engines, loads_random",
+    "argv, engines, loads_random, loads_json",
     [
-        (["analyze", "{polygon}"], [], False),
-        (["snf", "{matrix}"], ["intmat"], False),
-        (["corpus", "--max-coord", "1"], ["corpus"], False),
+        (["analyze", "{polygon}"], [], False, True),
+        (["snf", "{matrix}"], ["intmat"], False, True),
+        (["corpus", "--max-coord", "1"], ["corpus"], False, False),
         (
             ["verify", "--max-coord", "1", "--trials", "0"],
             ["certificates", "corpus", "intmat", "verify"],
             True,
+            False,
         ),
     ],
     ids=["analyze", "snf", "corpus", "verify"],
 )
-def test_each_command_loads_only_the_engine_it_runs(tmp_path, argv, engines, loads_random):
+def test_each_command_loads_only_the_engine_it_runs(
+    tmp_path, argv, engines, loads_random, loads_json
+):
     polygon = tmp_path / "p.json"
     polygon.write_text('{"vertices": [[0, 0], [3, 0], [0, 3]]}', encoding="utf-8")
     matrix = tmp_path / "m.json"
     matrix.write_text('{"rows": 1, "cols": 2, "entries": [[2, 4]]}', encoding="utf-8")
     argv = [arg.format(polygon=polygon, matrix=matrix) for arg in argv]
+    # the probe prints with repr, not json, so that only the command
+    # itself can load json
     probe = (
-        "import contextlib, io, json\n"
+        "import contextlib, io\n"
         "import severi_lattice.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = severi_lattice.cli.main({argv!r})\n"
         "names = [m.split('.', 1)[1] for m in sys.modules if m.startswith('severi_lattice.')]\n"
-        "print(json.dumps([code, sorted(names), 'random' in sys.modules]))"
+        "print(repr([code, sorted(names), 'random' in sys.modules, 'json' in sys.modules]))"
     )
-    code, loaded, has_random = json.loads(fresh(probe))
+    code, loaded, has_random, has_json = ast.literal_eval(fresh(probe))
     assert code == 0
     assert loaded == sorted(ANALYZE_PATH + engines)
     assert has_random is loads_random
+    assert has_json is loads_json
 
 
 def test_the_package_root_loads_intmat_on_first_use():

@@ -17,7 +17,7 @@ from severi_lattice.errors import DomainError, InvariantViolation
 from severi_lattice.intmat import IntMat, invariant_factors
 from severi_lattice.lattices import Z2, AffineLattice2, affine_span, divisors
 from severi_lattice.oracles import count_components_oracle
-from severi_lattice.polygons import InteriorClassification, LatticePolygon
+from severi_lattice.polygons import Facet, InteriorClassification, LatticePolygon
 from severi_lattice.severi import (
     analyze,
     build_profile,
@@ -63,6 +63,21 @@ class TestBuildProfile:
     def test_row_sums_vanish(self, corpus2):
         for poly in corpus2:
             assert not any(a_delta(build_profile(poly)).row_sums())
+
+    @pytest.mark.parametrize(
+        "index, normal",
+        [(1, (-2, 0)), (0, (0, 2))],  # sum l_j n_j = (-1, 0), then (0, 1)
+        ids=["x-sum", "y-sum"],
+    )
+    def test_normals_that_do_not_close_up_are_caught(self, unit_square, index, normal):
+        # a bad facet planted in the polygon's cache; each case breaks one
+        # coordinate of the closure sum and leaves the other at zero
+        facets = list(unit_square.facets())
+        f = facets[index]
+        facets[index] = Facet(f.index, f.start, f.vector, f.length, normal)
+        unit_square._cache["facets"] = tuple(facets)
+        with pytest.raises(InvariantViolation, match="do not close up"):
+            build_profile(unit_square)
 
     def test_n0_is_the_span_of_the_normals(self, corpus2):
         for poly in corpus2:
