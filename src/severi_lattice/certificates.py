@@ -44,16 +44,23 @@ def component_signature(profile: BoundaryProfile) -> tuple[int, ...]:
     to zero, and is constant on facet blocks; any failure is reported as an
     internal invariant violation.  The certificate (hence z's overall sign)
     is pinned by the deterministic pivot rule of the reduction engine; only
-    ``Q`` is read, so only ``Q`` is built (``intmat.hsnf_left``).
+    ``Q`` is read, so only ``Q`` is built (``intmat.hsnf_left``).  The two
+    rows of ``a_delta`` are read from its entries, and each entry of z is
+    divided out of its raw value in the same pass.
     """
     matrix = a_delta(profile)
     q0, q1 = hsnf_left(matrix).row(1)
-    xs, ys = matrix.to_rows()
-    raw = tuple(q0 * x + q1 * y for x, y in zip(xs, ys))
+    e, l = matrix.entries, matrix.cols
     idx = profile.idx
-    if any(v % idx for v in raw):
-        raise InvariantViolation(f"signature {raw} is not divisible by the index {idx}")
-    z = [v // idx for v in raw]
+    z = []
+    for x, y in zip(e[:l], e[l:]):
+        v, rem = divmod(q0 * x + q1 * y, idx)
+        if rem:
+            raw = tuple(q0 * x + q1 * y for x, y in zip(e[:l], e[l:]))
+            raise InvariantViolation(
+                f"signature {raw} is not divisible by the index {idx}"
+            )
+        z.append(v)
     if sum(z) != 0:
         raise InvariantViolation(f"signature {z} does not sum to zero")
     start = 0

@@ -10,8 +10,9 @@ Two kernels, sharing no code:
 - certified (``snf``, ``hsnf``, ``hsnf_left``): division rounds that pivot
   on a nonzero entry of minimal absolute value, first occurrence in
   column-major order, with every operation mirrored on the unimodular
-  certificates; the pivot rule keeps intermediate entries small and makes
-  every certificate deterministic.
+  certificates (``hsnf_left`` builds the left one alone, and mirrors no
+  column operation); the pivot rule keeps intermediate entries small and
+  makes every certificate deterministic.
 - certificate-free (``invariant_factors``, ``hsnf_form``): extended-gcd
   (Bezout) 2 x 2 unimodular steps that diagonalize the matrix, then
   pairwise ``(gcd, lcm)`` steps that turn the diagonal into a divisor chain.
@@ -177,7 +178,7 @@ def _smith_reduce(
     s: int,
     l: int,
     q: list[list[int]],
-    p: list[list[int]],
+    p: list[list[int]] | None = None,
 ) -> list[int]:
     """In-place certified Smith reduction of a column-major matrix; returns
     the diagonal.
@@ -186,7 +187,9 @@ def _smith_reduce(
     operations on the working matrix are mirrored on ``q`` and column
     operations are undone on ``p`` (a column op D -> D*F updates
     p -> F^-1*p, so q@X == D@p stays exact, with both certificates
-    unimodular by construction).
+    unimodular by construction).  No decision of the reduction reads
+    ``p``, so a caller that needs only ``q`` passes none and the column
+    operations are not mirrored at all.
     """
     t = 0
     bound = s if s < l else l
@@ -214,7 +217,8 @@ def _smith_reduce(
             break
         if bj != t:
             cols[bj], cols[t] = cols[t], cols[bj]
-            p[bj], p[t] = p[t], p[bj]
+            if p is not None:
+                p[bj], p[t] = p[t], p[bj]
         if bi != t:
             for col in cols:
                 col[bi], col[t] = col[t], col[bi]
@@ -231,7 +235,8 @@ def _smith_reduce(
                     qq = v // piv
                     if qq:
                         cols[j] = cj = [x - qq * y for x, y in zip(cj, ct)]
-                        p[t] = [x + qq * y for x, y in zip(p[t], p[j])]
+                        if p is not None:
+                            p[t] = [x + qq * y for x, y in zip(p[t], p[j])]
                     if cj[t]:
                         dirty = True
             # clear the pivot column with row operations
@@ -271,7 +276,8 @@ def _smith_reduce(
                         bi, bj = t, j
             if bj != t:
                 cols[bj], cols[t] = cols[t], cols[bj]
-                p[bj], p[t] = p[t], p[bj]
+                if p is not None:
+                    p[bj], p[t] = p[t], p[bj]
             elif bi != t:
                 for col in cols:
                     col[bi], col[t] = col[t], col[bi]
@@ -508,15 +514,15 @@ def hsnf_left(x: IntMat) -> IntMat:
     """The left certificate ``Q`` of ``hsnf(x)`` alone.
 
     Requires zero row sums.  Runs the same certified reduction on the same
-    first-column erasure, with ``P``'s column operations mirrored onto empty
-    rows: no decision of the reduction reads ``P``, so the pivots, the row
+    first-column erasure with no ``P`` to mirror the column operations on:
+    no decision of the reduction reads ``P``, so the pivots, the row
     operations and hence ``Q`` are exactly those of ``hsnf(x)``, without
     building ``P`` or ``A``.
     """
     _require_homogeneous(x)
     s, l = x.rows, x.cols
     q = _unit_rows(s)
-    _smith_reduce(x.to_cols()[1:], s, l - 1, q, [[] for _ in range(l - 1)])
+    _smith_reduce(x.to_cols()[1:], s, l - 1, q)
     return IntMat._trusted(s, s, tuple(chain.from_iterable(q)))
 
 

@@ -111,7 +111,12 @@ def _meets_interior(polygon: LatticePolygon, lattice: AffineLattice2) -> bool:
 def _walk(halfplanes, across, along) -> bool:
     """Whether a half-plane intersection a * v + b * u > h holds a point of
     the lines u = u0 (mod du) strictly between u_lo and u_hi, the line u
-    holding v = v0 + (u - u0) / du * dv (mod period), in v_lo..v_hi."""
+    holding v = v0 + (u - u0) / du * dv (mod period), in v_lo..v_hi.
+
+    The half-planes are a convex polygon's facets and u_lo, u_hi its
+    extreme values of u.  A facet with a = 0 is parallel to the lines, so
+    it lies on an extreme line and holds on every line walked: it bounds
+    no interval."""
     u_lo, u_hi, u0, du = across
     v_lo, v_hi, v0, dv, period = along
     u = u_lo + 1
@@ -125,11 +130,8 @@ def _walk(halfplanes, across, along) -> bool:
                 lo = max(lo, c // a + 1)
             elif a < 0:
                 hi = min(hi, -(c // -a) - 1)
-            elif c >= 0:
-                break
-        else:
-            if lo + (r - lo) % period <= hi:
-                return True
+        if lo + (r - lo) % period <= hi:
+            return True
         u += du
         r += dv
     return False
@@ -165,7 +167,9 @@ def brute_force_width(
     O(vertices * evaluated directions), plus O(1) per column dx, whose
     count reaches sup_norm only when the strips reach the edge of the
     box; no Gauss reduction.  DomainError unless sup_norm >= 1, which the
-    argument needs.
+    argument needs.  The directions are visited in increasing
+    lexicographic order, so the first minimizer found is the least and a
+    tie never replaces it.
 
     On the corpus the two strips, not the default box of 25, bound the
     scan: a box of 10**4 agrees on every polygon of corpus max-coord 3
@@ -208,7 +212,6 @@ def brute_force_width(
             if gcd(dx, abs(dy)) != 1:
                 continue
             w = spread(dx, dy)
-            d = (dx, dy)
-            if best is None or w < best[0] or (w == best[0] and d < best[1]):
-                best = (w, d)
+            if best is None or w < best[0]:
+                best = (w, (dx, dy))
     return best

@@ -17,7 +17,9 @@ frame: no membership test, the facets' own lengths in Pick's boundary
 term and the raw vertex differences in the width reduction.
 The point scans ``interior_points`` and ``interior_points_in`` (O(area)) are
 oracles for tests and the verify battery, kept as methods so their results
-cache on the polygon; the width oracle ``brute_force_width`` is in ``oracles``.
+cache on the polygon; in ``Z2``, ``interior_points_in`` and ``verify_pick``
+read the scans with no membership test.  The width oracle
+``brute_force_width`` is in ``oracles``.
 """
 
 from __future__ import annotations
@@ -181,8 +183,11 @@ class LatticePolygon:
 
         Test and verification oracle only, a filter of the cached
         ``interior_points`` scan; ``interior_count_in`` gives the count in
-        O(vertices).
+        O(vertices).  ``Z2`` holds every integer point, so for it the cached
+        scan itself is returned, with no membership test.
         """
+        if lattice is Z2:
+            return self.interior_points()
         has = lattice._has  # the scan's points are integer pairs
         return tuple(p for p in self.interior_points() if has(p))
 
@@ -225,6 +230,9 @@ class LatticePolygon:
         2*Area = 2*(interior points) + (boundary points) - 2, where area is
         measured in the volume form of ``lattice`` and points are counted in
         ``lattice``.  Holds for every valid polygon; exposed as a self-check.
+        The points are counted from the scans, ``interior_points_in`` and
+        ``boundary_points``; ``Z2`` holds all of them, so for it both lists
+        are counted directly, with no membership test.
         """
         self._require_vertices_in(lattice)
         idx = lattice.index_in_z2
@@ -232,8 +240,11 @@ class LatticePolygon:
         if rem:
             return False
         inside = len(self.interior_points_in(lattice))
-        has = lattice._has
-        border = sum(1 for p in self.boundary_points() if has(p))
+        if lattice is Z2:
+            border = len(self.boundary_points())
+        else:
+            has = lattice._has
+            border = sum(1 for p in self.boundary_points() if has(p))
         return t2 == 2 * inside + border - 2
 
     def lattice_width(self, lattice: AffineLattice2) -> tuple[int, Point]:

@@ -28,7 +28,7 @@ the 45-degree square ``(0,0),(5000,5000),(0,10000),(-5000,5000)``: l = 2 *
 10^4 points on four facets of length 5000, idx 2.  ``minor_gcd(a, 2)``
 (only four distinct columns), ``invariant_factors`` and
 ``width_one_by_rank`` (no length-one facet) each take about 0.01 s or
-less on a quiet host, ``component_signature`` 0.05-0.1 s; each gets a
+less on a quiet host, ``component_signature`` about 0.03 s; each gets a
 budget of 0.5 s.  A 2 x 2 minor scan over all point pairs took 20 s at
 l = 4000, and a rank test over all pairs at a pivot point 5-8 s here.
 """

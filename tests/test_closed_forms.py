@@ -493,6 +493,34 @@ class TestRowWalk:
         for lat in lattices_in_play(poly) + extra:
             assert _meets_interior(poly, lat) == bool(poly.interior_points_in(lat))
 
+    @pytest.mark.parametrize(
+        "vertices, meets",
+        [
+            ([(0, 0), (4, 0), (0, 4)], True),
+            # the bottom is a vertex: lines y = -1 and y = 0 hold no point
+            ([(2, 0), (4, 2), (2, 4), (0, 2)], True),
+            # no interior point; the line y = -1 would pass every facet
+            ([(0, 0), (2, 0), (0, 2)], False),
+        ],
+    )
+    def test_walk_starts_on_the_first_line_inside(self, monkeypatch, vertices, meets):
+        # each line walked reads the half-planes once; the first line
+        # strictly above the bottom one, y = 1, decides all three in Z^2
+        walked = []
+        walk = severi_lattice.oracles._walk
+
+        class Counted(list):
+            def __iter__(self):
+                walked.append(1)
+                return super().__iter__()
+
+        def counting(halfplanes, across, along):
+            return walk(Counted(halfplanes), across, along)
+
+        monkeypatch.setattr(severi_lattice.oracles, "_walk", counting)
+        assert _meets_interior(LatticePolygon(vertices), Z2) is meets
+        assert len(walked) == 1
+
 
 class TestOracleBoundaryTest:
     """Two points per facet decide what all l boundary points decide."""

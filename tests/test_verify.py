@@ -2,9 +2,10 @@ import random
 from collections import Counter
 
 from severi_lattice import certificates, severi, verify
+from severi_lattice.corpus import CorpusSpec, iter_corpus
 from severi_lattice.errors import InvariantViolation
 from severi_lattice.intmat import IntMat, minor_gcd
-from severi_lattice.lattices import Z2
+from severi_lattice.lattices import Z2, AffineLattice2
 from severi_lattice.polygons import LatticePolygon
 from severi_lattice.severi import BoundaryProfile, ComponentDescriptor
 from severi_lattice.verify import random_unimodular, run_verification
@@ -246,6 +247,38 @@ class TestOnePass:
             assert check.first_failure.startswith("LatticePolygon(")
             assert check.first_failure.endswith(": planted")
         assert len(drawn) == 6
+
+
+def test_scan_rows_test_no_membership_in_z2(monkeypatch):
+    # Z^2 holds every integer point, so the Pick and interior-count rows
+    # read its scans without _has; any other M0 still filters them
+    calls = []
+    has = AffineLattice2._has
+
+    def counting(lattice, point):
+        calls.append(point)
+        return has(lattice, point)
+
+    monkeypatch.setattr(AffineLattice2, "_has", counting)
+    rows = (verify._pick_z2, verify._pick_m0, verify._monotone)
+    in_z2 = 0
+    for poly in iter_corpus(CorpusSpec(max_coordinate=3)):
+        profile = severi.build_profile(poly)
+        m0 = profile.m0
+        calls.clear()
+        assert [row(profile) for row in rows] == [None] * 3, poly
+        if m0 is Z2:
+            in_z2 += 1
+            assert calls == [], poly
+            continue
+        assert calls, poly
+        inside = tuple(p for p in poly.interior_points() if has(m0, p))
+        border = sum(1 for p in poly.boundary_points() if has(m0, p))
+        assert poly.interior_points_in(m0) == inside
+        t2 = poly.twice_area() // m0.index_in_z2
+        assert poly.verify_pick(m0) == (t2 == 2 * len(inside) + border - 2)
+    # 1,514 of the 1,633 classes have an index-one M0
+    assert in_z2 == 1514
 
 
 def test_random_unimodular_is_unimodular():
