@@ -21,14 +21,12 @@ Layers, bottom to top:
 - ``corpus`` / ``verify`` / ``cli``: enumeration, the cross-check battery,
   and the command-line front end.
 
-The top level re-exports only the quick-tour names; import everything
-else from its module.  ``IntMat`` and ``snf`` import ``intmat`` when first
-read: the package and the CLI's analyze commands do not load it.
+The top level re-exports the quick-tour names (import the rest from its
+module), each on first read (PEP 562): ``import severi_lattice`` loads
+only ``errors``, and ``cli`` lists what each ``severi`` command loads.
 """
 
 from .errors import DomainError, InvariantViolation, SeveriLatticeError
-from .polygons import LatticePolygon
-from .severi import analyze, build_profile, count_components
 
 __version__ = "0.1.0"
 
@@ -44,9 +42,16 @@ __all__ = [
     "snf",
 ]
 
+# PEP 562: the module of each re-export, imported when the name is first read
+_LAZY = {"IntMat": "intmat", "snf": "intmat", "LatticePolygon": "polygons",
+         "analyze": "severi", "build_profile": "severi", "count_components": "severi"}
 
-def __getattr__(name: str):  # PEP 562: IntMat and snf import intmat when read
-    if name not in ("IntMat", "snf"):
+
+def __getattr__(name: str):
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import intmat
-    return getattr(intmat, name)
+    return getattr(__import__(f"{__name__}.{_LAZY[name]}", fromlist=[name]), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

@@ -6,9 +6,11 @@ identical inputs produce byte-identical output.  ``entry`` (the ``severi``
 command) also exits 1 with one ``error:`` line when stdout is closed or its
 reader leaves early (``severi corpus --max-coord 4 | head -1``).
 
-Each command imports the engine it runs in its handler: ``snf`` and ``hsnf``
-load ``intmat``, ``corpus`` loads ``corpus``, ``verify`` every module, and
-``analyze``, ``count`` and ``components`` only ``severi`` and its imports.
+Each command imports the engine it runs in its handler, so importing this
+module loads only the package, ``cli`` and ``errors``.  ``snf``/``hsnf`` add
+``intmat`` and ``_record``; ``corpus`` adds ``corpus``, ``polygons``,
+``lattices`` and ``_record``; ``analyze``/``count``/``components`` add those
+three, ``severi`` and ``oracles``; ``verify`` loads every module.
 ``json`` is imported by ``_load_json`` and ``_dump``, the only readers and
 writers of JSON documents, so ``corpus`` (which formats its lines itself)
 and ``verify`` never load it.
@@ -21,9 +23,7 @@ import os
 import sys
 from collections.abc import Sequence
 
-from . import severi
 from .errors import DomainError, InvariantViolation
-from .polygons import LatticePolygon
 
 __all__ = ["main", "entry"]
 
@@ -63,7 +63,8 @@ def _load_json(path: str):
         raise DomainError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_polygon(path: str) -> LatticePolygon:
+def _load_polygon(path: str):
+    from .polygons import LatticePolygon
     data = _load_json(path)
     if not isinstance(data, dict) or "vertices" not in data:
         raise DomainError(f'{path}: polygon JSON must be {{"vertices": [[x, y], ...]}}')
@@ -93,6 +94,7 @@ def _load_matrix(path: str):
 
 
 def _cmd_analyze(args) -> int:
+    from . import severi
     polygon = _load_polygon(args.file)
     doc = severi.analyze(polygon).to_json_dict()  # checked against the oracle
     if args.command == "components":  # the report's descriptors only
@@ -102,6 +104,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from . import severi
     polygon = _load_polygon(args.file)
     if args.oracle:  # analyze checks its count against the oracle
         print(severi.analyze(polygon).component_count)

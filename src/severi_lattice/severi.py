@@ -232,8 +232,10 @@ def analyze(polygon: LatticePolygon) -> SeveriReport:
 
     One pass: the boundary profile, which holds M0's classification, is
     built once; the count is the number of contributing descriptors, and
-    must equal the divisor-formula count and the brute-force oracle count.  The oracle builds its own boundary lattice
-    from two boundary points per facet.
+    must equal the divisor-formula count and the brute-force oracle count.
+    The oracle spans its own boundary lattice from two points per facet.
+    O(vertices + tau(idx) * (vertices + lines * facets)) time, where lines
+    is the fewer of a lattice's rows / d2 and columns / gcd(d1, e).
     """
     profile = build_profile(polygon)
     report = object.__new__(SeveriReport)

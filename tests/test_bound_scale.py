@@ -164,6 +164,11 @@ def test_interior_search_walks_the_shorter_way(monkeypatch):
     monkeypatch.setattr(severi_lattice.oracles, "_walk", recording)
     assert count_components_oracle(LatticePolygon([(0, -R), (1, -R), (1, R)])) == 0
     assert walks == [(0, 1, 0, 1)]
+    # at x = 5000..5001 the width is 1 but xmax + xmin is 10,001, more
+    # than the height 100: only the width picks the columns here
+    walks.clear()
+    assert count_components_oracle(LatticePolygon([(5000, 0), (5001, 0), (5001, 100)])) == 0
+    assert walks == [(5000, 5001, 0, 1)]
 
 
 def test_analyze_lists_no_boundary_points(monkeypatch):

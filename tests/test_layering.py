@@ -206,36 +206,48 @@ def test_the_cli_imports_no_dataclasses_typing_or_pathlib():
         "import severi_lattice.cli; "
         "print(sorted({'dataclasses', 'inspect', 'typing', 'pathlib', 'random', 'json', "
         "'severi_lattice.intmat', 'severi_lattice.corpus', "
-        "'severi_lattice.verify', 'severi_lattice.certificates'} & set(sys.modules)))"
+        "'severi_lattice.verify', 'severi_lattice.certificates', "
+        "'severi_lattice.severi', 'severi_lattice.polygons', 'severi_lattice.lattices', "
+        "'severi_lattice.oracles', 'severi_lattice._record'} & set(sys.modules)))"
     )
     assert fresh(probe).strip() == "[]"
 
 
-ANALYZE_PATH = ["_record", "cli", "errors", "lattices", "oracles", "polygons", "severi"]
+# what importing the CLI loads; every command adds its engine to these
+CLI = ["cli", "errors"]
+ANALYZE_PATH = ["_record", "lattices", "oracles", "polygons", "severi"]
 
 
 @pytest.mark.parametrize(
     "argv, engines, loads_random, loads_json",
     [
-        (["analyze", "{polygon}"], [], False, True),
-        (["snf", "{matrix}"], ["intmat"], False, True),
-        (["corpus", "--max-coord", "1"], ["corpus"], False, False),
+        (["analyze", "{polygon}"], ANALYZE_PATH, False, True),
+        (["count", "{polygon}"], ANALYZE_PATH, False, True),
+        (["components", "{polygon}"], ANALYZE_PATH, False, True),
+        (["snf", "{matrix}"], ["_record", "intmat"], False, True),
+        (["hsnf", "{matrix}"], ["_record", "intmat"], False, True),
+        (
+            ["corpus", "--max-coord", "1"],
+            ["_record", "corpus", "lattices", "polygons"],
+            False,
+            False,
+        ),
         (
             ["verify", "--max-coord", "1", "--trials", "0"],
-            ["certificates", "corpus", "intmat", "verify"],
+            ANALYZE_PATH + ["certificates", "corpus", "intmat", "verify"],
             True,
             False,
         ),
     ],
-    ids=["analyze", "snf", "corpus", "verify"],
+    ids=["analyze", "count", "components", "snf", "hsnf", "corpus", "verify"],
 )
 def test_each_command_loads_only_the_engine_it_runs(
     tmp_path, argv, engines, loads_random, loads_json
 ):
     polygon = tmp_path / "p.json"
     polygon.write_text('{"vertices": [[0, 0], [3, 0], [0, 3]]}', encoding="utf-8")
-    matrix = tmp_path / "m.json"
-    matrix.write_text('{"rows": 1, "cols": 2, "entries": [[2, 4]]}', encoding="utf-8")
+    matrix = tmp_path / "m.json"  # zero row sums, so hsnf takes it too
+    matrix.write_text('{"rows": 1, "cols": 3, "entries": [[2, 4, -6]]}', encoding="utf-8")
     argv = [arg.format(polygon=polygon, matrix=matrix) for arg in argv]
     # the probe prints with repr, not json, so that only the command
     # itself can load json
@@ -249,21 +261,43 @@ def test_each_command_loads_only_the_engine_it_runs(
     )
     code, loaded, has_random, has_json = ast.literal_eval(fresh(probe))
     assert code == 0
-    assert loaded == sorted(ANALYZE_PATH + engines)
+    assert loaded == sorted(CLI + engines)
     assert has_random is loads_random
     assert has_json is loads_json
 
 
-def test_the_package_root_loads_intmat_on_first_use():
+ROOT_NAMES = {
+    "IntMat": "intmat",
+    "snf": "intmat",
+    "LatticePolygon": "polygons",
+    "analyze": "severi",
+    "build_profile": "severi",
+    "count_components": "severi",
+}
+
+
+def test_the_package_root_loads_each_module_on_first_use():
+    # importing the package loads errors alone; each re-export is its
+    # module's own object, bound by ``import *`` and listed by ``dir``
     probe = (
         "import severi_lattice\n"
-        "before = 'severi_lattice.intmat' in sys.modules\n"
-        "from severi_lattice import IntMat, snf\n"
-        "from severi_lattice.intmat import IntMat as cls, snf as fn\n"
-        "print(before, IntMat is cls and snf is fn)"
+        "loaded = sorted(m for m in sys.modules if m.startswith('severi_lattice.'))\n"
+        "import importlib\n"
+        f"same = [name for name, module in {ROOT_NAMES!r}.items() if getattr("
+        "severi_lattice, name) is getattr(importlib.import_module("
+        "'severi_lattice.' + module), name)]\n"
+        "scope = {}\n"
+        "exec('from severi_lattice import *', scope)\n"
+        "print(repr([loaded, same, sorted(set(scope) - {'__builtins__'}), "
+        "sorted(dir(severi_lattice))]))"
     )
-    assert fresh(probe).split() == ["False", "True"]
-    with pytest.raises(AttributeError, match="no attribute 'absent'"):
+    loaded, same, star, listed = ast.literal_eval(fresh(probe))
+    assert loaded == ["severi_lattice.errors"]
+    assert same == list(ROOT_NAMES)
+    assert star == sorted(severi_lattice.__all__)
+    assert set(severi_lattice.__all__) <= set(listed)
+    unknown = "^module 'severi_lattice' has no attribute 'absent'$"
+    with pytest.raises(AttributeError, match=unknown):
         severi_lattice.absent
 
 
